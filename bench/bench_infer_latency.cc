@@ -4,10 +4,11 @@
 // no-grad column is what a serving deployment pays; the ratio is the cost
 // of building the backward graph nobody uses at eval time.
 //
-// A second table sweeps the lockstep execution batch (core/batched_model.h)
-// over B in {1, 4, 16, 32, 64} for the natively batched models, reporting
-// sustained seqs/sec plus p50/p95 per *request* (one request = one batch,
-// union-grid construction included).
+// A second table sweeps the serving batch over B in {1, 4, 16, 32, 64} for
+// the natively batched models, reporting sustained seqs/sec plus p50/p95 per
+// *request* (one request = one full core::BatchPredictor flush of B
+// sequences, micro-batching and union-grid construction included), i.e.
+// what `diffode_cli predict --batch=B` runs.
 
 #include <algorithm>
 #include <memory>
@@ -15,8 +16,7 @@
 
 #include "autograd/arena.h"
 #include "bench_common.h"
-#include "core/batched_model.h"
-#include "data/sequence_batch.h"
+#include "core/batch_predictor.h"
 #include "tensor/buffer_pool.h"
 #include "tensor/simd.h"
 
@@ -76,9 +76,10 @@ constexpr const char* kBatchedModels[] = {"DIFFODE", "GRU-D", "ODE-RNN"};
 constexpr Index kBatchSizes[] = {1, 4, 16, 32, 64};
 
 // Times classification requests of B sequences each, cycling through the
-// split (a batch may repeat a sequence when B exceeds the split). The
-// SequenceBatch view is built inside the timed region — serving pays it.
-LatencyStats MeasureBatched(core::BatchedDispatch* dispatch,
+// split (a batch may repeat a sequence when B exceeds the split). Each
+// request enqueues B sequences into a BatchPredictor with max_batch B, so
+// the last Enqueue flushes them; the flush is inside the timed region.
+LatencyStats MeasureBatched(core::SequenceModel* model,
                             const std::vector<data::IrregularSeries>& split,
                             Index batch, Index requests) {
   std::vector<double> ms;
@@ -86,22 +87,19 @@ LatencyStats MeasureBatched(core::BatchedDispatch* dispatch,
   ag::TapeArena::Scope arena_scope;
   tensor::BufferPool::Scope pool_scope;
   std::size_t cursor = 0;
-  const auto next_batch = [&]() {
-    std::vector<const data::IrregularSeries*> ptrs;
-    ptrs.reserve(static_cast<std::size_t>(batch));
+  const auto serve = [&]() {
+    core::BatchPredictor predictor(model, batch);
     for (Index j = 0; j < batch; ++j)
-      ptrs.push_back(&split[cursor++ % split.size()]);
-    return ptrs;
+      (void)predictor.Enqueue(split[cursor++ % split.size()]);
   };
   for (Index i = 0; i < 2; ++i) {
-    (void)dispatch->ClassifyLogitsBatched(data::MakeSequenceBatch(next_batch()));
+    serve();
     ag::TapeArena::ThreadLocal().Reset();
   }
   train::WallTimer total;
   for (Index i = 0; i < requests; ++i) {
-    const auto ptrs = next_batch();
     train::WallTimer t;
-    (void)dispatch->ClassifyLogitsBatched(data::MakeSequenceBatch(ptrs));
+    serve();
     ms.push_back(t.Seconds() * 1000.0);
     ag::TapeArena::ThreadLocal().Reset();
   }
@@ -174,11 +172,10 @@ int Main(int argc, char** argv) {
     spec.input_dim = ds.num_features;
     spec.step = 1.0;
     auto model = MakeModel(name, spec);
-    core::BatchedDispatch dispatch(model.get());
     for (Index batch : kBatchSizes) {
       const Index requests = std::max<Index>(16, repeats / batch);  // floor: stable p50/p95 at large B
       const LatencyStats stats =
-          MeasureBatched(&dispatch, ds.test, batch, requests);
+          MeasureBatched(model.get(), ds.test, batch, requests);
       if (csv) {
         std::printf("%s,%lld,%.1f,%.3f,%.3f\n", name,
                     static_cast<long long>(batch), stats.seqs_per_sec,
@@ -209,21 +206,18 @@ int Main(int argc, char** argv) {
   // run back to back, so the pair shares the same thermal/frequency regime
   // and their ratio is meaningful even on a drifting host.
   std::vector<std::unique_ptr<core::SequenceModel>> precision_models;
-  std::vector<std::unique_ptr<core::BatchedDispatch>> precision_dispatch;
   for (const Precision precision : {Precision::kF64, Precision::kF32}) {
     ModelSpec spec;
     spec.input_dim = ds.num_features;
     spec.step = 1.0;
     precision_models.push_back(MakeModel("DIFFODE", spec));
     precision_models.back()->Freeze(precision);
-    precision_dispatch.push_back(std::make_unique<core::BatchedDispatch>(
-        precision_models.back().get()));
   }
   for (Index batch : kBatchSizes) {
     const Index requests = std::max<Index>(16, repeats / batch);  // floor: stable p50/p95 at large B
     for (std::size_t pi = 0; pi < 2; ++pi) {
       const Precision precision = pi == 0 ? Precision::kF64 : Precision::kF32;
-      const LatencyStats stats = MeasureBatched(precision_dispatch[pi].get(),
+      const LatencyStats stats = MeasureBatched(precision_models[pi].get(),
                                                 ds.test, batch, requests);
       if (csv) {
         std::printf("DIFFODE,%s,%s,%lld,%.1f,%.3f,%.3f\n",

@@ -285,6 +285,16 @@ int RunPredict(const std::map<std::string, std::string>& flags) {
     std::printf("\n");
   };
 
+  // A series needs two observations to define its time window; say which
+  // ones are skipped rather than dropping them silently.
+  const auto servable = [&series](std::size_t i) {
+    if (series[i].length() >= 2) return true;
+    std::fprintf(stderr,
+                 "series %zu: skipped: needs >= 2 observations, has %lld\n",
+                 i, static_cast<long long>(series[i].length()));
+    return false;
+  };
+
   if (exec_batch > 1 || precision == Precision::kF32) {
     // Micro-batched serving: up to --batch sequences per lockstep forward.
     // f32 always takes this path — the float engine lives behind the
@@ -292,7 +302,7 @@ int RunPredict(const std::map<std::string, std::string>& flags) {
     core::BatchPredictor predictor(model.get(), exec_batch);
     std::vector<std::pair<std::size_t, Index>> requests;
     for (std::size_t i = 0; i < series.size(); ++i) {
-      if (series[i].length() < 2) continue;
+      if (!servable(i)) continue;
       requests.emplace_back(i, predictor.Enqueue(series[i], times));
     }
     predictor.Flush();
@@ -303,7 +313,7 @@ int RunPredict(const std::map<std::string, std::string>& flags) {
 
   ag::NoGradScope no_grad;
   for (std::size_t i = 0; i < series.size(); ++i) {
-    if (series[i].length() < 2) continue;
+    if (!servable(i)) continue;
     (void)model->TakeAuxiliaryLoss();
     auto preds = model->PredictAt(series[i], times);
     (void)model->TakeAuxiliaryLoss();

@@ -103,11 +103,15 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   cmake -B build-tsan -S . -DDIFFODE_SANITIZE=thread > /dev/null
   cmake --build build-tsan -j \
     --target kernels_test trainer_test tensor_test autograd_test \
-             alloc_stats_test nograd_test > /dev/null
+             alloc_stats_test nograd_test batched_equiv_test \
+             precision_test > /dev/null
 
   echo "== tsan: threading-relevant tests, DIFFODE_NUM_THREADS=4 =="
+  # batched_equiv_test flushes BatchPredictor, whose micro-batches are whole
+  # f64, f32 and fallback forwards running concurrently as pool tasks;
+  # precision_test drives the f32 engine over the model zoo.
   (cd build-tsan && DIFFODE_NUM_THREADS=4 ctest --output-on-failure \
-    -R 'kernels_test|trainer_test|tensor_test|autograd_test|alloc_stats_test|nograd_test')
+    -R 'kernels_test|trainer_test|tensor_test|autograd_test|alloc_stats_test|nograd_test|batched_equiv_test|precision_test')
 fi
 
 if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
@@ -132,10 +136,10 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   (cd build-asan && ctest --output-on-failure -R 'batched_equiv_test')
 
   echo "== asan: f32 serving engine =="
-  # The f32 tier carves flat scratch (p_buf / chunk_scratch) by chunk id and
-  # caches stage tensors across RK stages; this leg is the gate that no
-  # recovery pass indexes outside its chunk slice and no cached stage buffer
-  # is read after the active-row count changed.
+  # The f32 tier carves a flat p buffer per (row, head), reuses one
+  # derivative scratch, and caches stage tensors across RK stages; this leg
+  # is the gate that no recovery pass indexes outside its slice and no
+  # cached stage buffer is read after the active-row count changed.
   (cd build-asan && ctest --output-on-failure -R 'precision_test')
 
   echo "== asan: full suite =="

@@ -8,11 +8,14 @@
 namespace diffode::core {
 
 // Micro-batched serving front-end (docs/performance.md, "Execution
-// batching"): collects up to max_batch requests, then serves them all in
-// one lockstep NoGradScope forward through BatchedDispatch. Requests with
-// query times are regression requests (PredictAtBatched); requests without
-// are classification requests (ClassifyLogitsBatched). The two kinds are
-// flushed as separate sequence batches.
+// batching"): collects up to max_batch requests, then serves them through
+// BatchedDispatch in lockstep NoGradScope forwards. Requests with query
+// times are regression requests (PredictAtBatched); requests without are
+// classification requests (ClassifyLogitsBatched). Flush splits each kind,
+// in enqueue order, into micro-batches of a fixed 8 rows and runs every
+// micro-batch as one task on the shared thread pool. The split never
+// depends on the thread count, so results are bitwise identical at any
+// DIFFODE_NUM_THREADS.
 //
 // Usage: Enqueue() returns a request id; call Flush() (or let the queue
 // auto-flush at max_batch pending requests), then read result(id). Enqueued
@@ -31,7 +34,7 @@ class BatchPredictor {
   Index Enqueue(const data::IrregularSeries& series,
                 std::vector<Scalar> times = {});
 
-  // Serves every pending request in one batched forward per request kind.
+  // Serves every pending request, one batched forward per micro-batch.
   void Flush();
 
   // Result for a request id; its flush must have happened.

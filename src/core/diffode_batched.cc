@@ -17,7 +17,6 @@
 #include "core/batch_plans.h"
 #include "core/diffode_f32.h"
 #include "core/diffode_model.h"
-#include "core/parallel.h"
 #include "data/encoding.h"
 #include "ode/lockstep.h"
 #include "tensor/kernels.h"
@@ -151,22 +150,15 @@ std::vector<DiffOde::Encoded> DiffOde::EncodeBatched(
               .value();
   }
   std::vector<Encoded> encs(static_cast<std::size_t>(b));
-  // The per-row context builds (pseudoinverse, h2/adaH heads) are
-  // independent, so they shard across the deterministic pool. GradMode is
-  // thread-local and the engine is eval-only, so every chunk pins NoGrad:
-  // worker threads would otherwise default to grad-on and build tapes.
-  parallel::ParallelFor(0, b, 1, [&](Index r0, Index r1) {
-    ag::NoGradScope no_grad;
-    for (Index r = r0; r < r1; ++r) {
-      Encoded& enc = encs[static_cast<std::size_t>(r)];
-      data::EncoderInputs& in = inputs[static_cast<std::size_t>(r)];
-      enc.t_scale = in.t_scale;
-      enc.t_offset = in.t_offset;
-      enc.norm_times = std::move(in.norm_times);
-      enc.z = ag::Constant(z_rows[static_cast<std::size_t>(r)]);
-      BuildContexts(&enc);
-    }
-  });
+  for (Index r = 0; r < b; ++r) {
+    Encoded& enc = encs[static_cast<std::size_t>(r)];
+    data::EncoderInputs& in = inputs[static_cast<std::size_t>(r)];
+    enc.t_scale = in.t_scale;
+    enc.t_offset = in.t_offset;
+    enc.norm_times = std::move(in.norm_times);
+    enc.z = ag::Constant(z_rows[static_cast<std::size_t>(r)]);
+    BuildContexts(&enc);
+  }
   return encs;
 }
 
@@ -262,47 +254,41 @@ std::vector<std::vector<Tensor>> DiffOde::BatchedStatesAt(
     }
     // Invert the attention per row and head, then run phi once for the
     // whole wave: rows of xphi are [z_recovered | t_row]. The per-row
-    // recoveries are independent Tensor chains with disjoint writes, so they
-    // shard across the deterministic pool (each row's serial arithmetic is
-    // untouched — same bits at any thread count); grain 1 because one row
-    // costs several n-sized GEMMs.
+    // recoveries are serial: serving parallelism is per micro-batch
+    // (core/batch_predictor.cc), not per RK stage.
     std::vector<std::vector<Tensor>> p_rows(
         static_cast<std::size_t>(heads),
         std::vector<Tensor>(static_cast<std::size_t>(a)));
     Tensor xphi = Tensor::Uninit(Shape{a, d + 1});
-    parallel::ParallelFor(0, a, 1, [&](Index i0, Index i1) {
-      Tensor s_h = Tensor::Uninit(Shape{1, dh});
-      for (Index i = i0; i < i1; ++i) {
-        const Encoded& enc = *row_enc[static_cast<std::size_t>(
-            rows[static_cast<std::size_t>(i)])];
-        const Scalar* yrow = ya.data() + i * sd;
-        for (Index hh = 0; hh < heads; ++hh) {
-          const DhsContext& ctx = enc.heads[static_cast<std::size_t>(hh)];
-          std::copy_n(yrow + hh * dh, dh, s_h.data());
-          Tensor p = RecoverPRow(ctx, s_h, config_.pt_strategy);
-          const Tensor z_h = RecoverZRow(ctx, p, enc.h2.value());
-          std::copy_n(z_h.data(), dh, xphi.data() + i * (d + 1) + hh * dh);
-          p_rows[static_cast<std::size_t>(hh)][static_cast<std::size_t>(i)] =
-              std::move(p);
-        }
-        xphi.data()[i * (d + 1) + d] = tt[static_cast<std::size_t>(i)];
+    Tensor s_h = Tensor::Uninit(Shape{1, dh});
+    for (Index i = 0; i < a; ++i) {
+      const Encoded& enc = *row_enc[static_cast<std::size_t>(
+          rows[static_cast<std::size_t>(i)])];
+      const Scalar* yrow = ya.data() + i * sd;
+      for (Index hh = 0; hh < heads; ++hh) {
+        const DhsContext& ctx = enc.heads[static_cast<std::size_t>(hh)];
+        std::copy_n(yrow + hh * dh, dh, s_h.data());
+        Tensor p = RecoverPRow(ctx, s_h, config_.pt_strategy);
+        const Tensor z_h = RecoverZRow(ctx, p, enc.h2.value());
+        std::copy_n(z_h.data(), dh, xphi.data() + i * (d + 1) + hh * dh);
+        p_rows[static_cast<std::size_t>(hh)][static_cast<std::size_t>(i)] =
+            std::move(p);
       }
-    });
+      xphi.data()[i * (d + 1) + d] = tt[static_cast<std::size_t>(i)];
+    }
     const Tensor w = ag::Tanh(phi_->Forward(ag::Constant(xphi))).value();
-    parallel::ParallelFor(0, a, 1, [&](Index i0, Index i1) {
-      Tensor w_h = Tensor::Uninit(Shape{1, dh});
-      for (Index i = i0; i < i1; ++i) {
-        const Encoded& enc = *row_enc[static_cast<std::size_t>(
-            rows[static_cast<std::size_t>(i)])];
-        for (Index hh = 0; hh < heads; ++hh) {
-          std::copy_n(w.data() + i * d + hh * dh, dh, w_h.data());
-          const Tensor ds = DerivativeRow(
-              enc.heads[static_cast<std::size_t>(hh)], w_h,
-              p_rows[static_cast<std::size_t>(hh)][static_cast<std::size_t>(i)]);
-          std::copy_n(ds.data(), dh, k_out.data() + i * sd + hh * dh);
-        }
+    Tensor w_h = Tensor::Uninit(Shape{1, dh});
+    for (Index i = 0; i < a; ++i) {
+      const Encoded& enc = *row_enc[static_cast<std::size_t>(
+          rows[static_cast<std::size_t>(i)])];
+      for (Index hh = 0; hh < heads; ++hh) {
+        std::copy_n(w.data() + i * d + hh * dh, dh, w_h.data());
+        const Tensor ds = DerivativeRow(
+            enc.heads[static_cast<std::size_t>(hh)], w_h,
+            p_rows[static_cast<std::size_t>(hh)][static_cast<std::size_t>(i)]);
+        std::copy_n(ds.data(), dh, k_out.data() + i * sd + hh * dh);
       }
-    });
+    }
     if (!direct) {
       // f_r's input [s | c | r] is exactly the packed state row.
       const Tensor u_r = f_r_->Forward(ag::Constant(ya)).value();
@@ -362,40 +348,36 @@ Tensor DiffOde::ClassifyLogitsBatched(const data::SequenceBatch& batch) {
   // pure slicing/concat and AddInPlace/MulScalar are elementwise in fixed
   // order, so accumulating the slices directly reproduces the per-sequence
   // chain bit for bit without its per-state Var and concat allocations.
-  // Rows are independent and write disjoint slices of x, so they shard
-  // across the pool.
-  parallel::ParallelFor(0, b, 1, [&](Index r0, Index r1) {
-    std::vector<Scalar> acc(static_cast<std::size_t>(ro));
-    std::vector<Scalar> ri(static_cast<std::size_t>(ro));
-    for (Index r = r0; r < r1; ++r) {
-      const Encoded& enc = encs[static_cast<std::size_t>(r)];
-      const std::vector<Tensor>& st = states[static_cast<std::size_t>(r)];
-      const Scalar* zm = attn ? nullptr : enc.z_mean.value().data();
-      const auto read_into = [&](const Tensor& state, Scalar* dst) {
-        const Scalar* sv = state.data();
-        if (!attn) {
-          std::copy_n(zm, d, dst);
-          std::copy_n(sv + dc, dr, dst + d);
-        } else if (direct) {
-          std::copy_n(sv, sd, dst);
-        } else {
-          std::copy_n(sv, d, dst);
-          std::copy_n(sv + d + dc, dr, dst + d);
-        }
-      };
-      read_into(st[0], acc.data());
-      for (std::size_t i = 1; i < st.size(); ++i) {
-        read_into(st[static_cast<std::size_t>(i)], ri.data());
-        for (Index j = 0; j < ro; ++j)
-          acc[static_cast<std::size_t>(j)] += ri[static_cast<std::size_t>(j)];
+  std::vector<Scalar> acc(static_cast<std::size_t>(ro));
+  std::vector<Scalar> ri(static_cast<std::size_t>(ro));
+  for (Index r = 0; r < b; ++r) {
+    const Encoded& enc = encs[static_cast<std::size_t>(r)];
+    const std::vector<Tensor>& st = states[static_cast<std::size_t>(r)];
+    const Scalar* zm = attn ? nullptr : enc.z_mean.value().data();
+    const auto read_into = [&](const Tensor& state, Scalar* dst) {
+      const Scalar* sv = state.data();
+      if (!attn) {
+        std::copy_n(zm, d, dst);
+        std::copy_n(sv + dc, dr, dst + d);
+      } else if (direct) {
+        std::copy_n(sv, sd, dst);
+      } else {
+        std::copy_n(sv, d, dst);
+        std::copy_n(sv + d + dc, dr, dst + d);
       }
-      const Scalar inv = 1.0 / static_cast<Scalar>(st.size());
-      for (Index j = 0; j < ro; ++j) acc[static_cast<std::size_t>(j)] *= inv;
-      Scalar* xr = x.data() + r * 2 * ro;
-      std::copy_n(acc.data(), ro, xr);
-      read_into(st.back(), xr + ro);
+    };
+    read_into(st[0], acc.data());
+    for (std::size_t i = 1; i < st.size(); ++i) {
+      read_into(st[static_cast<std::size_t>(i)], ri.data());
+      for (Index j = 0; j < ro; ++j)
+        acc[static_cast<std::size_t>(j)] += ri[static_cast<std::size_t>(j)];
     }
-  });
+    const Scalar inv = 1.0 / static_cast<Scalar>(st.size());
+    for (Index j = 0; j < ro; ++j) acc[static_cast<std::size_t>(j)] *= inv;
+    Scalar* xr = x.data() + r * 2 * ro;
+    std::copy_n(acc.data(), ro, xr);
+    read_into(st.back(), xr + ro);
+  }
   return f_out_cls_->Forward(ag::Constant(x)).value();
 }
 

@@ -19,7 +19,6 @@
 
 #include "core/batch_plans.h"
 #include "core/diffode_model.h"
-#include "core/parallel.h"
 #include "data/encoding.h"
 #include "nn/frozen.h"
 #include "ode/lockstep.h"
@@ -240,29 +239,26 @@ std::vector<EncodedF32> DiffOdeF32Engine::EncodeBatched(
   // of DHS; keeping it f64 costs one factorization per sequence, not per
   // step, and is what keeps the f32 logits inside the 1e-4 agreement band.
   std::vector<EncodedF32> encs(static_cast<std::size_t>(b));
-  parallel::ParallelFor(0, b, 1, [&](Index r0, Index r1) {
-    ag::NoGradScope no_grad;
-    for (Index r = r0; r < r1; ++r) {
-      EncodedF32& out = encs[static_cast<std::size_t>(r)];
-      data::EncoderInputs& in = inputs[static_cast<std::size_t>(r)];
-      DiffOde::Encoded enc;
-      enc.t_scale = in.t_scale;
-      enc.t_offset = in.t_offset;
-      enc.norm_times = std::move(in.norm_times);
-      enc.z = ag::Constant(
-          z_rows[static_cast<std::size_t>(r)].Cast<double>());  // dtype:ok
-      model.BuildContexts(&enc);
-      out.heads.reserve(enc.heads.size());
-      for (const DhsContext& ctx : enc.heads)
-        out.heads.push_back(CastContext(ctx));
-      if (enc.h2.defined()) out.h2 = enc.h2.value().Cast<float>();
-      out.z_mean = enc.z_mean.value().Cast<float>();
-      out.y0 = model.InitialState(enc).value().Cast<float>();
-      out.norm_times = std::move(enc.norm_times);
-      out.t_scale = enc.t_scale;
-      out.t_offset = enc.t_offset;
-    }
-  });
+  for (Index r = 0; r < b; ++r) {
+    EncodedF32& out = encs[static_cast<std::size_t>(r)];
+    data::EncoderInputs& in = inputs[static_cast<std::size_t>(r)];
+    DiffOde::Encoded enc;
+    enc.t_scale = in.t_scale;
+    enc.t_offset = in.t_offset;
+    enc.norm_times = std::move(in.norm_times);
+    enc.z = ag::Constant(
+        z_rows[static_cast<std::size_t>(r)].Cast<double>());  // dtype:ok
+    model.BuildContexts(&enc);
+    out.heads.reserve(enc.heads.size());
+    for (const DhsContext& ctx : enc.heads)
+      out.heads.push_back(CastContext(ctx));
+    if (enc.h2.defined()) out.h2 = enc.h2.value().Cast<float>();
+    out.z_mean = enc.z_mean.value().Cast<float>();
+    out.y0 = model.InitialState(enc).value().Cast<float>();
+    out.norm_times = std::move(enc.norm_times);
+    out.t_scale = enc.t_scale;
+    out.t_offset = enc.t_offset;
+  }
   return encs;
 }
 
@@ -321,11 +317,10 @@ std::vector<std::vector<Tensor32>> DiffOdeF32Engine::BatchedStatesAt(
       max_n = std::max(max_n, e.heads.front().zt_pinv.rows());
   max_n = std::max<Index>(max_n, 1);
   // Scratch reused across RK stages: the flat per-(row, head) attention
-  // buffer, per-chunk recovery scratch (chunks of kChunk rows), and the
-  // cached stage inputs (reallocated only when the active-row count drops).
-  constexpr Index kChunk = 16;
+  // buffer, the derivative scratch, and the cached stage inputs
+  // (reallocated only when the active-row count drops).
   std::vector<float> p_buf;
-  std::vector<float> chunk_scratch;
+  std::vector<float> scratch(static_cast<std::size_t>(3 * max_n + 2 * dh));
   Tensor32 xphi_cache, c_mat_cache, r_mat_cache, xfr_cache;
   Index cached_a = -1;  // active-row count the caches are shaped for
 
@@ -383,44 +378,32 @@ std::vector<std::vector<Tensor32>> DiffOdeF32Engine::BatchedStatesAt(
     // Flat p buffer, stride max_n per (row, head): recovered in the first
     // pass, consumed by the derivative pass after phi. No per-row tensors.
     p_buf.resize(static_cast<std::size_t>(a * heads * max_n));
-    // Chunk boundaries in ParallelFor are deterministic in (a, kChunk), so
-    // each chunk owns a disjoint slice of the flat scratch buffer.
-    const Index scratch_stride = 3 * max_n + 2 * dh;
-    chunk_scratch.resize(
-        static_cast<std::size_t>(((a + kChunk - 1) / kChunk) * scratch_stride));
     Tensor32& xphi = xphi_cache;
-    parallel::ParallelFor(0, a, kChunk, [&](Index i0, Index i1) {
-      for (Index i = i0; i < i1; ++i) {
-        const EncodedF32& enc = *row_enc[static_cast<std::size_t>(
-            rows[static_cast<std::size_t>(i)])];
-        const float* yrow = ya.data() + i * sd;
-        const float* h2 = enc.h2.data();
-        for (Index hh = 0; hh < heads; ++hh) {
-          const DhsContextF32& ctx = enc.heads[static_cast<std::size_t>(hh)];
-          float* p = p_buf.data() + (i * heads + hh) * max_n;
-          RecoverPRow32(ctx, yrow + hh * dh, dh, config.pt_strategy, p);
-          RecoverZRow32(ctx, p, h2, dh,
-                        xphi.data() + i * (d + 1) + hh * dh);
-        }
-        xphi.data()[i * (d + 1) + d] =
-            static_cast<float>(tt[static_cast<std::size_t>(i)]);
+    for (Index i = 0; i < a; ++i) {
+      const EncodedF32& enc = *row_enc[static_cast<std::size_t>(
+          rows[static_cast<std::size_t>(i)])];
+      const float* yrow = ya.data() + i * sd;
+      const float* h2 = enc.h2.data();
+      for (Index hh = 0; hh < heads; ++hh) {
+        const DhsContextF32& ctx = enc.heads[static_cast<std::size_t>(hh)];
+        float* p = p_buf.data() + (i * heads + hh) * max_n;
+        RecoverPRow32(ctx, yrow + hh * dh, dh, config.pt_strategy, p);
+        RecoverZRow32(ctx, p, h2, dh, xphi.data() + i * (d + 1) + hh * dh);
       }
-    });
+      xphi.data()[i * (d + 1) + d] =
+          static_cast<float>(tt[static_cast<std::size_t>(i)]);
+    }
     Tensor32 w = snap.phi.Forward(xphi);
     kernels::MapTanh(w.numel(), w.data(), w.data());
-    parallel::ParallelFor(0, a, kChunk, [&](Index i0, Index i1) {
-      float* scratch = chunk_scratch.data() + (i0 / kChunk) * scratch_stride;
-      for (Index i = i0; i < i1; ++i) {
-        const EncodedF32& enc = *row_enc[static_cast<std::size_t>(
-            rows[static_cast<std::size_t>(i)])];
-        for (Index hh = 0; hh < heads; ++hh) {
-          DerivativeRow32(enc.heads[static_cast<std::size_t>(hh)],
-                          w.data() + i * d + hh * dh,
-                          p_buf.data() + (i * heads + hh) * max_n, dh,
-                          scratch, k_out.data() + i * sd + hh * dh);
-        }
-      }
-    });
+    for (Index i = 0; i < a; ++i) {
+      const EncodedF32& enc = *row_enc[static_cast<std::size_t>(
+          rows[static_cast<std::size_t>(i)])];
+      for (Index hh = 0; hh < heads; ++hh)
+        DerivativeRow32(enc.heads[static_cast<std::size_t>(hh)],
+                        w.data() + i * d + hh * dh,
+                        p_buf.data() + (i * heads + hh) * max_n, dh,
+                        scratch.data(), k_out.data() + i * sd + hh * dh);
+    }
     if (!direct) {
       const Tensor32 u_r = snap.f_r.Forward(ya);
       hippo_tail(d, u_r);
@@ -477,38 +460,36 @@ Tensor DiffOdeF32Engine::ClassifyLogitsBatched(
   const bool attn = config.use_attention;
   const bool direct = config.head == OutputHead::kDirect;
   Tensor32 x = Tensor32::Uninit(Shape{b, 2 * ro});
-  parallel::ParallelFor(0, b, 1, [&](Index r0, Index r1) {
-    std::vector<float> acc(static_cast<std::size_t>(ro));
-    std::vector<float> ri(static_cast<std::size_t>(ro));
-    for (Index r = r0; r < r1; ++r) {
-      const EncodedF32& enc = encs[static_cast<std::size_t>(r)];
-      const std::vector<Tensor32>& st = states[static_cast<std::size_t>(r)];
-      const float* zm = attn ? nullptr : enc.z_mean.data();
-      const auto read_into = [&](const Tensor32& state, float* dst) {
-        const float* sv = state.data();
-        if (!attn) {
-          std::copy_n(zm, d, dst);
-          std::copy_n(sv + dc, dr, dst + d);
-        } else if (direct) {
-          std::copy_n(sv, sd, dst);
-        } else {
-          std::copy_n(sv, d, dst);
-          std::copy_n(sv + d + dc, dr, dst + d);
-        }
-      };
-      read_into(st[0], acc.data());
-      for (std::size_t i = 1; i < st.size(); ++i) {
-        read_into(st[static_cast<std::size_t>(i)], ri.data());
-        for (Index j = 0; j < ro; ++j)
-          acc[static_cast<std::size_t>(j)] += ri[static_cast<std::size_t>(j)];
+  std::vector<float> acc(static_cast<std::size_t>(ro));
+  std::vector<float> ri(static_cast<std::size_t>(ro));
+  for (Index r = 0; r < b; ++r) {
+    const EncodedF32& enc = encs[static_cast<std::size_t>(r)];
+    const std::vector<Tensor32>& st = states[static_cast<std::size_t>(r)];
+    const float* zm = attn ? nullptr : enc.z_mean.data();
+    const auto read_into = [&](const Tensor32& state, float* dst) {
+      const float* sv = state.data();
+      if (!attn) {
+        std::copy_n(zm, d, dst);
+        std::copy_n(sv + dc, dr, dst + d);
+      } else if (direct) {
+        std::copy_n(sv, sd, dst);
+      } else {
+        std::copy_n(sv, d, dst);
+        std::copy_n(sv + d + dc, dr, dst + d);
       }
-      const float inv = 1.0f / static_cast<float>(st.size());
-      for (Index j = 0; j < ro; ++j) acc[static_cast<std::size_t>(j)] *= inv;
-      float* xr = x.data() + r * 2 * ro;
-      std::copy_n(acc.data(), ro, xr);
-      read_into(st.back(), xr + ro);
+    };
+    read_into(st[0], acc.data());
+    for (std::size_t i = 1; i < st.size(); ++i) {
+      read_into(st[static_cast<std::size_t>(i)], ri.data());
+      for (Index j = 0; j < ro; ++j)
+        acc[static_cast<std::size_t>(j)] += ri[static_cast<std::size_t>(j)];
     }
-  });
+    const float inv = 1.0f / static_cast<float>(st.size());
+    for (Index j = 0; j < ro; ++j) acc[static_cast<std::size_t>(j)] *= inv;
+    float* xr = x.data() + r * 2 * ro;
+    std::copy_n(acc.data(), ro, xr);
+    read_into(st.back(), xr + ro);
+  }
   return snap.f_out_cls.Forward(x).Cast<double>();  // dtype:ok — boundary
 }
 

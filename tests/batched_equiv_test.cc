@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -342,6 +343,134 @@ TEST(BatchPredictorTest, MicroBatchesMixedRequests) {
     ASSERT_EQ(got.size(), ref.size());
     for (std::size_t k = 0; k < ref.size(); ++k)
       ExpectClose(got[k], ref[k].value(), "served prediction");
+  }
+}
+
+// One request of a serving round: classification when `times` is empty.
+struct Request {
+  const data::IrregularSeries* series;
+  std::vector<Scalar> times;
+};
+
+// Serves a whole round through one BatchPredictor whose max_batch is the
+// round size, so the last Enqueue auto-flushes every request at once.
+std::vector<core::BatchPredictor::Result> ServeRound(
+    core::SequenceModel* model, const std::vector<Request>& round) {
+  core::BatchPredictor predictor(model, static_cast<Index>(round.size()));
+  std::vector<Index> ids;
+  for (const Request& q : round)
+    ids.push_back(predictor.Enqueue(*q.series, q.times));
+  EXPECT_EQ(predictor.pending(), 0);
+  std::vector<core::BatchPredictor::Result> out;
+  for (Index id : ids) out.push_back(predictor.result(id));
+  return out;
+}
+
+// The split BatchPredictor must make: each kind's requests in enqueue
+// order, served by serial BatchedDispatch calls over rows [0,8), [8,16),
+// ... of that kind.
+std::vector<core::BatchPredictor::Result> ServeInSerialChunks(
+    core::SequenceModel* model, const std::vector<Request>& round) {
+  constexpr std::size_t kRows = 8;
+  core::BatchedDispatch dispatch(model);
+  std::vector<core::BatchPredictor::Result> out(round.size());
+  for (const bool classify : {true, false}) {
+    std::vector<std::size_t> kind;
+    for (std::size_t i = 0; i < round.size(); ++i)
+      if (round[i].times.empty() == classify) kind.push_back(i);
+    for (std::size_t c = 0; c < kind.size(); c += kRows) {
+      const std::size_t n = std::min(kRows, kind.size() - c);
+      std::vector<const data::IrregularSeries*> ptrs;
+      std::vector<std::vector<Scalar>> times;
+      for (std::size_t k = 0; k < n; ++k) {
+        ptrs.push_back(round[kind[c + k]].series);
+        times.push_back(round[kind[c + k]].times);
+      }
+      const data::SequenceBatch batch = data::MakeSequenceBatch(ptrs);
+      if (classify) {
+        const Tensor logits = dispatch.ClassifyLogitsBatched(batch);
+        for (std::size_t k = 0; k < n; ++k)
+          out[kind[c + k]].logits = logits.Row(static_cast<Index>(k));
+      } else {
+        std::vector<std::vector<Tensor>> preds =
+            dispatch.PredictAtBatched(batch, times);
+        for (std::size_t k = 0; k < n; ++k)
+          out[kind[c + k]].predictions = std::move(preds[k]);
+      }
+    }
+  }
+  return out;
+}
+
+void ExpectSameResults(const std::vector<core::BatchPredictor::Result>& a,
+                       const std::vector<core::BatchPredictor::Result>& b,
+                       const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    // Only classification results carry logits (a default Tensor has no
+    // storage to compare).
+    if (a[i].predictions.empty())
+      ExpectBitwiseEqual(a[i].logits, b[i].logits, what);
+    ASSERT_EQ(a[i].predictions.size(), b[i].predictions.size()) << what;
+    for (std::size_t k = 0; k < a[i].predictions.size(); ++k)
+      ExpectBitwiseEqual(a[i].predictions[k], b[i].predictions[k], what);
+  }
+}
+
+TEST(BatchPredictorTest, MicroBatchesAreThreadCountInvariant) {
+  // 20 requests in one flush, 3 of them regression requests: the 17
+  // classification requests split into two full micro-batches and a
+  // one-row tail, the 3 regression requests form one ragged micro-batch,
+  // and all four run as pool tasks.
+  const std::vector<data::IrregularSeries> series = MakeBatchSeries(20, 70);
+  const std::vector<std::vector<Scalar>> query_times = MakeQueryTimes(series);
+  std::vector<Request> round;
+  for (std::size_t i = 0; i < series.size(); ++i)
+    round.push_back(Request{&series[i], i % 7 == 3
+                                            ? query_times[i]
+                                            : std::vector<Scalar>{}});
+
+  core::DiffOde f64_model(SmallConfig());
+  core::DiffOde f32_model(SmallConfig());
+  f32_model.Freeze(Precision::kF32);
+  auto fallback = baselines::MakeBaseline("GRU", SmallBaselineConfig());
+  struct Case {
+    core::SequenceModel* model;
+    bool f64;
+    const char* name;
+  };
+  for (const Case& c : {Case{&f64_model, true, "DIFFODE f64"},
+                        Case{&f32_model, false, "DIFFODE f32"},
+                        Case{fallback.get(), true, "GRU fallback"}}) {
+    SCOPED_TRACE(c.name);
+    std::vector<core::BatchPredictor::Result> one_thread, four_threads;
+    {
+      ThreadCountGuard threads(1);
+      one_thread = ServeRound(c.model, round);
+    }
+    {
+      ThreadCountGuard threads(4);
+      four_threads = ServeRound(c.model, round);
+    }
+    ExpectSameResults(one_thread, four_threads, "1 vs 4 threads");
+    ExpectSameResults(four_threads, ServeInSerialChunks(c.model, round),
+                      "pool tasks vs serial micro-batches");
+    if (!c.f64) continue;
+    ag::NoGradScope no_grad;
+    for (std::size_t i = 0; i < round.size(); ++i) {
+      const core::BatchPredictor::Result& got = four_threads[i];
+      if (round[i].times.empty()) {
+        ExpectClose(got.logits, c.model->ClassifyLogits(series[i]).value(),
+                    "served logits");
+      } else {
+        const std::vector<ag::Var> ref =
+            c.model->PredictAt(series[i], round[i].times);
+        ASSERT_EQ(got.predictions.size(), ref.size());
+        for (std::size_t k = 0; k < ref.size(); ++k)
+          ExpectClose(got.predictions[k], ref[k].value(), "served prediction");
+      }
+      (void)c.model->TakeAuxiliaryLoss();
+    }
   }
 }
 
