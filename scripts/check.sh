@@ -98,6 +98,12 @@ echo "== tier-1: f32 serving tier + kernel matrix, DIFFODE_KERNEL_ISA=avx512 =="
 (cd build && DIFFODE_KERNEL_ISA=avx512 ctest --output-on-failure \
   -R 'precision_test|serialize_roundtrip_test|kernels_isa_test')
 
+echo "== benchmark self-tests (perfbench) =="
+# Builds perfbench into .bench_build/ and runs each workload briefly: checks
+# the printed metrics against BENCHMARK.json and that train-ushcn reproduces
+# its 8-epoch reference bit for bit.
+python3 -m unittest discover -s perfbench -p 'test_*.py'
+
 if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   echo "== tsan: configure + build (-DDIFFODE_SANITIZE=thread) =="
   cmake -B build-tsan -S . -DDIFFODE_SANITIZE=thread > /dev/null

@@ -1,6 +1,7 @@
 #include "autograd/ops.h"
 
 #include <cmath>
+#include <utility>
 
 #include "tensor/kernels.h"
 
@@ -57,8 +58,13 @@ Var MakeNode(Tensor value, const std::vector<Var>& parents,
                       std::forward<BackwardFn>(backward_fn));
 }
 
+// Gradients computed into a fresh tensor are passed as rvalues so a parent
+// whose grad is still unset adopts the buffer instead of copying it.
 void Accumulate(const std::shared_ptr<Node>& n, const Tensor& g) {
   n->AccumulateGrad(g);
+}
+void Accumulate(const std::shared_ptr<Node>& n, Tensor&& g) {
+  n->AccumulateGrad(std::move(g));
 }
 
 // Fused elementwise derivative scatter: parent_grad += zip(g, v).
@@ -67,7 +73,7 @@ void AccumulateZip(const std::shared_ptr<Node>& n, const Tensor& g,
                    const Tensor& v, F fn) {
   Tensor out = Tensor::Uninit(g.shape());
   kernels::Zip(g.numel(), g.data(), v.data(), out.data(), fn);
-  n->AccumulateGrad(out);
+  n->AccumulateGrad(std::move(out));
 }
 
 }  // namespace
@@ -133,7 +139,7 @@ Var DivByScalarVar(const Var& a, const Var& s) {
     // d/ds (a/s) = -a/s^2 = -value/s
     Tensor gs(n.parents[1]->value.shape());
     gs[0] = -n.grad.Dot(n.value) / sv;
-    Accumulate(n.parents[1], gs);
+    Accumulate(n.parents[1], std::move(gs));
   });
 }
 
@@ -145,7 +151,7 @@ Var MulByScalarVar(const Var& a, const Var& s) {
     Accumulate(n.parents[0], n.grad * sv);
     Tensor gs(n.parents[1]->value.shape());
     gs[0] = n.grad.Dot(n.parents[0]->value);
-    Accumulate(n.parents[1], gs);
+    Accumulate(n.parents[1], std::move(gs));
   });
 }
 
@@ -230,8 +236,8 @@ Var MulRowVec(const Var& m, const Var& v) {
         gvp[j] += gij * mp[i * c + j];
       }
     }
-    Accumulate(n.parents[0], gm);
-    Accumulate(n.parents[1], gv);
+    Accumulate(n.parents[0], std::move(gm));
+    Accumulate(n.parents[1], std::move(gv));
   });
 }
 
@@ -285,7 +291,7 @@ Var LayerNormRows(const Var& a, Scalar eps) {
       for (Index j = 0; j < c; ++j)
         gxi[j] = (gi[j] - g_mean - yi[j] * gy_mean) * inv;
     }
-    Accumulate(n.parents[0], gx);
+    Accumulate(n.parents[0], std::move(gx));
   });
 }
 
@@ -330,7 +336,7 @@ Var Softmax(const Var& a) {
       for (Index j = 0; j < c; ++j) gy += gi[j] * yi[j];
       for (Index j = 0; j < c; ++j) gxi[j] = yi[j] * (gi[j] - gy);
     }
-    Accumulate(n.parents[0], gx);
+    Accumulate(n.parents[0], std::move(gx));
   });
 }
 
@@ -422,7 +428,7 @@ void AccumulateScaled(const std::shared_ptr<Node>& n, const Tensor& g,
   Tensor out = Tensor::Uninit(g.shape());
   kernels::Map(g.numel(), g.data(), out.data(),
                [s](Scalar x) { return x * s; });
-  n->AccumulateGrad(out);
+  n->AccumulateGrad(std::move(out));
 }
 
 }  // namespace
@@ -570,7 +576,7 @@ Var ConcatCols(const std::vector<Var>& parts) {
                       for (Index i = 0; i < r; ++i)
                         for (Index j = 0; j < w; ++j)
                           out[i * w + j] = gp[i * total + c + j];
-                      Accumulate(n.parents[k], g);
+                      Accumulate(n.parents[k], std::move(g));
                       c += w;
                     }
                   });
@@ -617,7 +623,7 @@ Var SliceCols(const Var& a, Index begin, Index count) {
     for (Index i = 0; i < r; ++i)
       for (Index j = 0; j < count; ++j)
         out[i * total + begin + j] = gp[i * count + j];
-    Accumulate(n.parents[0], g);
+    Accumulate(n.parents[0], std::move(g));
   });
 }
 
@@ -629,7 +635,7 @@ Var SliceRows(const Var& a, Index begin, Index count) {
     const Scalar* gp = n.grad.data();
     Scalar* out = g.data() + offset;
     for (Index i = 0; i < count * c; ++i) out[i] = gp[i];
-    Accumulate(n.parents[0], g);
+    Accumulate(n.parents[0], std::move(g));
   });
 }
 
@@ -702,7 +708,7 @@ Var SoftmaxCrossEntropy(const Var& logits, const std::vector<Index>& labels) {
       gp[i * c + labels[static_cast<std::size_t>(i)]] -= 1.0;
       for (Index j = 0; j < c; ++j) gp[i * c + j] *= scale;
     }
-    Accumulate(n.parents[0], g);
+    Accumulate(n.parents[0], std::move(g));
   });
 }
 

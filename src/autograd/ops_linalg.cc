@@ -1,5 +1,7 @@
 #include "autograd/ops_linalg.h"
 
+#include <utility>
+
 #include "autograd/ops.h"
 #include "linalg/lu.h"
 
@@ -18,7 +20,7 @@ Var MakeInverseNode(const Var& a, Tensor inv) {
       // d/dA of A^{-1}: dA = -A^{-T} G A^{-T}, via the transpose-free GEMMs.
       const Tensor& inv = n.value;
       Tensor ga = inv.TransposedMatMul(n.grad).MatMulTransposed(inv) * -1.0;
-      n.parents[0]->AccumulateGrad(ga);
+      n.parents[0]->AccumulateGrad(std::move(ga));
     };
   }
   return Var(std::move(node));

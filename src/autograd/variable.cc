@@ -1,5 +1,7 @@
 #include "autograd/variable.h"
 
+#include <utility>
+
 #include "core/alloc_stats.h"
 
 namespace diffode::ag {
@@ -62,17 +64,34 @@ std::shared_ptr<Node> AllocateNode() {
   return std::make_shared<Node>();
 }
 
-void Node::AccumulateGrad(const Tensor& g) {
+namespace {
+
+// Both AccumulateGrad overloads: the GradSink redirect and drop rules first,
+// then an unset grad takes g (copied or moved) and a set one adds it.
+template <typename G>
+void AccumulateInto(Node* node, G&& g) {
   if (GradSink* sink = tls_sink) {
-    if (sink->Accumulate(this, g)) return;
+    if (sink->Accumulate(node, g)) return;
     // Unregistered leaves that don't require grad are shared read-only
     // inputs under data-parallel training; drop their gradients rather than
     // racing on them (nothing reads a constant's gradient).
-    if (!requires_grad && !backward_fn && parents.empty()) return;
+    if (!node->requires_grad && !node->backward_fn && node->parents.empty())
+      return;
   }
-  EnsureGrad();
-  grad += g;
+  if (node->grad.shape() == node->value.shape()) {
+    node->grad += g;
+  } else {
+    DIFFODE_CHECK_MSG(g.shape() == node->value.shape(),
+                      "gradient shape mismatch");
+    node->grad = std::forward<G>(g);
+  }
 }
+
+}  // namespace
+
+void Node::AccumulateGrad(const Tensor& g) { AccumulateInto(this, g); }
+
+void Node::AccumulateGrad(Tensor&& g) { AccumulateInto(this, std::move(g)); }
 
 GradSink::GradSink(const std::vector<Var>& params) {
   nodes_.reserve(params.size());
@@ -144,11 +163,16 @@ void Var::Backward(const Tensor& seed) {
   TopoSort(node_.get(), s, epoch);
   node_->AccumulateGrad(seed);
   // Post-order places dependencies first; walk from the root backwards.
+  // Every consumer of an interior node precedes it in this order, so its
+  // gradient is complete when reached and dead once propagated: releasing it
+  // here keeps the live gradient set to the sweep's frontier, which a warm
+  // thread's buffer-pool cache can hold.
   for (auto it = s.order.rbegin(); it != s.order.rend(); ++it) {
     Node* n = *it;
     if (n->backward_fn) {
       n->EnsureGrad();
       n->backward_fn(*n);
+      n->grad = Tensor();
     }
   }
 }

@@ -26,7 +26,11 @@ struct Node {
       std::vector<std::shared_ptr<Node>, ArenaAllocator<std::shared_ptr<Node>>>;
 
   Tensor value;
-  Tensor grad;  // allocated lazily, same shape as value
+  // Same shape as value once set. Interior nodes (those with a backward_fn)
+  // hold it only while Backward sweeps through them: the first incoming
+  // gradient is adopted, later ones are added, and the buffer is released
+  // as soon as backward_fn has propagated it. Leaves keep theirs.
+  Tensor grad;
   bool requires_grad = false;
   // Registration slot in the current GradSink generation, or -1. Written by
   // GradSink construction (single-threaded, before shards fan out), read by
@@ -53,7 +57,11 @@ struct Node {
   // scope is active on the current thread, gradients of registered
   // (parameter) nodes are redirected into the sink's private buffers so that
   // concurrent Backward() calls over tapes sharing parameters never race.
+  // An unset grad takes g as is (copied, or adopted by the rvalue overload)
+  // rather than zero-filling and adding: bitwise the same up to the sign of
+  // an exact zero.
   void AccumulateGrad(const Tensor& g);
+  void AccumulateGrad(Tensor&& g);
 };
 
 // A private parameter-gradient buffer for one shard of a data-parallel
@@ -253,7 +261,11 @@ class Var {
 
   // Runs reverse-mode accumulation from this (scalar) node. Seeds the output
   // gradient with 1 (or `seed` if given) and walks the tape in reverse
-  // topological order.
+  // topological order. Only leaves (parameters and other requires_grad
+  // leaves) keep their gradients: each interior node's grad is released once
+  // propagated, so grad() on one reads zeros afterwards and a second
+  // Backward over shared interior nodes never counts the first one's
+  // gradient again.
   void Backward();
   void Backward(const Tensor& seed);
 

@@ -1,5 +1,6 @@
 #include "data/csv_loader.h"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iomanip>
@@ -49,6 +50,10 @@ std::vector<IrregularSeries> LoadCsv(const std::string& path,
   std::vector<std::vector<RawRow>> rows_by_series;
   std::string line;
   long line_no = 0;
+  auto fail = [&](const std::string& what) {
+    if (error) *error = "line " + std::to_string(line_no) + ": " + what;
+    return std::vector<IrregularSeries>{};
+  };
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty()) continue;
@@ -58,52 +63,41 @@ std::vector<IrregularSeries> LoadCsv(const std::string& path,
       continue;  // header
     }
     if (cells.size() != expected_cells) {
-      if (error)
-        *error = "line " + std::to_string(line_no) + ": expected " +
-                 std::to_string(expected_cells) + " cells, got " +
-                 std::to_string(cells.size());
-      return {};
+      return fail("expected " + std::to_string(expected_cells) +
+                  " cells, got " + std::to_string(cells.size()));
     }
     RawRow row;
     row.label = -1;
-    if (!ParseScalar(cells[1], &row.time)) {
-      if (error)
-        *error = "line " + std::to_string(line_no) + ": bad time cell";
-      return {};
-    }
+    // strtod accepts "nan" and "inf"; a non-finite cell would reach the
+    // model and break its solves, so it is rejected like a garbage one.
+    if (!ParseScalar(cells[1], &row.time)) return fail("bad time cell");
+    if (!std::isfinite(row.time)) return fail("non-finite time cell");
     for (Index c = 0; c < num_channels; ++c) {
+      const std::string& cell = cells[static_cast<std::size_t>(2 + c)];
       Scalar v = 0.0;
-      if (ParseScalar(cells[static_cast<std::size_t>(2 + c)], &v)) {
+      if (ParseScalar(cell, &v)) {
+        if (!std::isfinite(v)) return fail("non-finite value cell");
         row.values.push_back(v);
         row.mask.push_back(1.0);
-      } else if (cells[static_cast<std::size_t>(2 + c)].empty()) {
+      } else if (cell.empty()) {
         row.values.push_back(0.0);
         row.mask.push_back(0.0);
       } else {
-        if (error)
-          *error = "line " + std::to_string(line_no) + ": bad value cell";
-        return {};
+        return fail("bad value cell");
       }
     }
     if (has_label) {
       Scalar l = 0.0;
-      if (!ParseScalar(cells.back(), &l)) {
-        if (error)
-          *error = "line " + std::to_string(line_no) + ": bad label cell";
-        return {};
-      }
+      if (!ParseScalar(cells.back(), &l) || !std::isfinite(l))
+        return fail("bad label cell");
       row.label = static_cast<Index>(l);
     }
     auto [it, inserted] =
         id_to_slot.try_emplace(cells[0], rows_by_series.size());
     if (inserted) rows_by_series.emplace_back();
     auto& rows = rows_by_series[it->second];
-    if (!rows.empty() && row.time < rows.back().time) {
-      if (error)
-        *error = "line " + std::to_string(line_no) +
-                 ": time goes backwards within series " + cells[0];
-      return {};
-    }
+    if (!rows.empty() && row.time < rows.back().time)
+      return fail("time goes backwards within series " + cells[0]);
     rows.push_back(std::move(row));
   }
   std::vector<IrregularSeries> out;

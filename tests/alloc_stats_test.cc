@@ -114,6 +114,46 @@ TEST(VarGradTest, ZeroGradReusesTheGradBuffer) {
     EXPECT_EQ(p.grad().values()[static_cast<std::size_t>(i)], 0.0);
 }
 
+// One pass over a 3000-op Tanh chain from `p` under the calling thread's
+// arena and pool: forward, Backward, drop the tape, reset the arena.
+// Returns the pass's allocation counts.
+AllocStats::Snapshot RunTanhChain(ag::Var& p) {
+  ag::TapeArena::Scope tape;
+  BufferPool::Scope pool;
+  p.ZeroGrad();
+  const AllocStats::Snapshot before = AllocStats::Read();
+  {
+    ag::Var h = p;
+    for (int i = 0; i < 3000; ++i) h = ag::Tanh(h);
+    ag::Sum(h).Backward();
+  }
+  const AllocStats::Snapshot d = AllocStats::Delta(before, AllocStats::Read());
+  if (ag::TapeArena* arena = ag::TapeArena::Active()) arena->Reset();
+  return d;
+}
+
+// Backward releases each interior gradient once it has been propagated, so
+// a deep tape's live tensors stay within one thread's cache: once warm, a
+// pass never refills from the shared depot.
+TEST(AllocStatsTest, WarmBackwardStaysOffTheDepot) {
+  const int prev_threads = parallel::ThreadPool::Get().num_threads();
+  parallel::ThreadPool::SetNumThreads(1);
+  ag::Var p = ag::Param(Tensor::Full(Shape{1, 16}, 0.5));
+  RunTanhChain(p);
+  RunTanhChain(p);
+  const AllocStats::Snapshot d = RunTanhChain(p);
+  EXPECT_EQ(d.depot_hits, 0u);
+  EXPECT_EQ(d.pool_misses, 0u);
+  EXPECT_GT(d.pool_hits, 0u);
+
+  BufferPool::SetEnabled(false);
+  ag::Var q = ag::Param(Tensor::Full(Shape{1, 16}, 0.5));
+  RunTanhChain(q);
+  BufferPool::SetEnabled(true);
+  for (Index i = 0; i < 16; ++i) EXPECT_EQ(p.grad()[i], q.grad()[i]) << i;
+  parallel::ThreadPool::SetNumThreads(prev_threads);
+}
+
 core::DiffOdeConfig TinyConfig() {
   core::DiffOdeConfig config;
   config.input_dim = 1;

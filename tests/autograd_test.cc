@@ -253,6 +253,26 @@ TEST(AutogradTest, GradientAccumulationAcrossBackwardCalls) {
   EXPECT_EQ(a.grad()[0], 0.0);
 }
 
+// Interior gradients live only for the Backward that propagates them: a
+// second Backward over a shared intermediate must not count the first
+// one's gradient again, while leaf gradients keep accumulating.
+TEST(AutogradTest, SharedInteriorGradientIsNotCountedTwice) {
+  Var x = ag::Param(Tensor::FromRows(1, 1, {3.0}));
+  Var y = ag::Mul(x, x);
+  Var a = ag::MulScalar(y, 2.0);
+  Var b = ag::MulScalar(y, 5.0);
+  a.Backward();
+  EXPECT_EQ(x.grad()[0], 12.0);  // 2 * 2x
+  EXPECT_TRUE(y.node()->grad.empty());
+  EXPECT_TRUE(a.node()->grad.empty());  // the root is interior too
+  EXPECT_FALSE(x.node()->grad.empty());
+  b.Backward();
+  EXPECT_EQ(x.grad()[0], 42.0);  // + 5 * 2x
+  x.ZeroGrad();
+  a.Backward();
+  EXPECT_EQ(x.grad()[0], 12.0);
+}
+
 TEST(AutogradTest, DiamondGraphGradient) {
   // y = (a*a) + (a*a) reuses the same intermediate twice.
   Var a = ag::Param(Tensor::FromRows(1, 1, {2.0}));

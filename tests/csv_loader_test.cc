@@ -77,6 +77,28 @@ TEST(CsvLoaderTest, RejectsGarbageValue) {
   std::remove(path.c_str());
 }
 
+TEST(CsvLoaderTest, RejectsNonFiniteCells) {
+  struct Case {
+    const char* content;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"s,0.0,1.0\ns,1.0,nan\n", "line 2: non-finite value cell"},
+      {"s,0.0,-inf\n", "line 1: non-finite value cell"},
+      {"s,0.0,1e999\n", "line 1: non-finite value cell"},
+      {"s,0.0,1.0\ns,inf,2.0\n", "line 2: non-finite time cell"},
+      {"s,0.0,1.0\ns,NaN,2.0\n", "line 2: non-finite time cell"},
+  };
+  for (const Case& c : cases) {
+    const std::string path = WriteTemp("nonfinite.csv", c.content);
+    std::string error;
+    auto series = LoadCsv(path, 1, false, &error);
+    EXPECT_TRUE(series.empty()) << c.content;
+    EXPECT_EQ(error, c.message) << c.content;
+    std::remove(path.c_str());
+  }
+}
+
 TEST(CsvLoaderTest, MissingFileReportsError) {
   std::string error;
   auto series = LoadCsv("/nonexistent/nowhere.csv", 1, false, &error);

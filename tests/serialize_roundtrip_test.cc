@@ -178,6 +178,30 @@ TEST(SerializeRoundtripTest, LoadRejectsArchitectureMismatch) {
   std::remove(path.c_str());
 }
 
+// A corrupted rank field must be reported as a failed load, not sized into
+// an allocation (or a Shape) before it is checked.
+TEST(SerializeRoundtripTest, LoadRejectsCorruptRankField) {
+  core::DiffOde model(TinyConfig());
+  const std::string path = CheckpointPath("diffode_corrupt_rank.ckpt");
+  auto params = model.Params();
+  ASSERT_TRUE(nn::SaveParams(params, path));
+  std::vector<Tensor> before;
+  for (const auto& p : params) before.push_back(p.value());
+  // Bytes 16-23 hold the first parameter's rank (after magic and count).
+  for (const std::uint64_t rank : {std::uint64_t{1} << 61, ~std::uint64_t{0},
+                                   std::uint64_t{7}, std::uint64_t{0}}) {
+    std::FILE* f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, 16, SEEK_SET), 0);
+    ASSERT_EQ(std::fwrite(&rank, sizeof(rank), 1, f), 1u);
+    std::fclose(f);
+    EXPECT_FALSE(nn::LoadParams(&params, path)) << rank;
+  }
+  for (std::size_t i = 0; i < params.size(); ++i)
+    ExpectBitwiseEqual(params[i].value(), before[i], "untouched param");
+  std::remove(path.c_str());
+}
+
 TEST(SerializeRoundtripTest, FrozenForwardBuildsNoTrainableGraph) {
   core::DiffOde model(TinyConfig());
   model.Freeze();
