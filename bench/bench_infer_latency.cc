@@ -188,9 +188,9 @@ int Main(int argc, char** argv) {
     }
   }
   // Serving precision sweep: the same DIFFODE weights frozen at f64 vs f32
-  // (the f32 tier of diffode_f32.cc), across the lockstep batch sizes. ISA
-  // and precision columns let the perf trajectory distinguish
-  // f32-vs-f64 and avx2-vs-avx512 rows (scripts/bench_report.sh).
+  // (the lockstep engine's f32 tier, diffode_batched.cc), across the batch
+  // sizes. ISA and precision columns tell f32-vs-f64 and avx2-vs-avx512
+  // rows apart.
   const char* isa_name = simd::IsaName(simd::ActiveIsa());
   if (csv) {
     std::printf(

@@ -255,7 +255,7 @@ BENCHMARK(BM_TensorAllocPooled)->Arg(1 << 8)->Arg(1 << 14);
 // workloads): GRU gate projections, MLP heads, attention score/backward
 // products, plus the vectorized transcendental maps. Arg 0 picks the ISA
 // (0 = scalar, 1 = avx2); avx2 rows are skipped on hosts without AVX2+FMA.
-// scripts/bench_report.sh pairs the rows into the BENCH_PR3 speedup table.
+// The scalar/avx2 row pairs give the speedups recorded in BENCH_PR3.json.
 
 simd::Isa IsaArg(benchmark::State& state) {
   switch (state.range(0)) {

@@ -80,7 +80,7 @@ echo "== tier-1: batched lockstep equivalence, DIFFODE_KERNEL_ISA=scalar =="
   -R 'batched_equiv_test')
 
 echo "== tier-1: f32 serving tier, DIFFODE_KERNEL_ISA=scalar =="
-# The f32 engine's accuracy and round-trip contracts must hold on the
+# The f32 tier's accuracy and round-trip contracts must hold on the
 # portable scalar f32 kernels — the fallback a non-AVX2 serving host runs.
 (cd build && DIFFODE_KERNEL_ISA=scalar ctest --output-on-failure \
   -R 'precision_test|serialize_roundtrip_test|kernels_isa_test')
@@ -115,7 +115,7 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   echo "== tsan: threading-relevant tests, DIFFODE_NUM_THREADS=4 =="
   # batched_equiv_test flushes BatchPredictor, whose micro-batches are whole
   # f64, f32 and fallback forwards running concurrently as pool tasks;
-  # precision_test drives the f32 engine over the model zoo.
+  # precision_test drives the engine's f32 tier over the model zoo.
   (cd build-tsan && DIFFODE_NUM_THREADS=4 ctest --output-on-failure \
     -R 'kernels_test|trainer_test|tensor_test|autograd_test|alloc_stats_test|nograd_test|batched_equiv_test|precision_test')
 fi
@@ -142,10 +142,11 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   (cd build-asan && ctest --output-on-failure -R 'batched_equiv_test')
 
   echo "== asan: f32 serving engine =="
-  # The f32 tier carves a flat p buffer per (row, head), reuses one
-  # derivative scratch, and caches stage tensors across RK stages; this leg
-  # is the gate that no recovery pass indexes outside its slice and no
-  # cached stage buffer is read after the active-row count changed.
+  # At float the engine's per-row recoveries carve a flat p buffer per
+  # (row, head) and reuse one derivative scratch, and at either dtype the
+  # RHS caches its stage tensors across RK stages; this leg is the gate
+  # that no recovery pass indexes outside its slice and no cached stage
+  # buffer is read after the active-row count changed.
   (cd build-asan && ctest --output-on-failure -R 'precision_test')
 
   echo "== asan: full suite =="

@@ -1,6 +1,8 @@
-// Lockstep batched execution for DIFFODE (core/batched_model.h).
+// Lockstep batched execution for DIFFODE (core/batched_model.h): one engine,
+// instantiated for the f64 default and for the f32 serving tier that
+// Freeze(Precision::kF32) selects.
 //
-// Equivalence contract with the per-sequence path: every row replays its
+// f64 equivalence contract with the per-sequence path: every row replays its
 // exact per-sequence integration timeline (same (t, h) step pairs, built by
 // ode::AppendSegment with IntegrateVar's stop rule), and every per-sequence
 // quantity — the DHS recoveries, the HiPPO tail, the readouts — is computed
@@ -10,23 +12,92 @@
 // f_out_cls), whose backends guarantee c[i][j] depends only on
 // (i, j, m, k, n); at B = 1 every call collapses to the per-sequence shape
 // and the result is bitwise identical (tests/batched_equiv_test.cc).
+//
+// f32 precision contract: the step timelines are exactly the f64 ones
+// (BuildBatchPlans and the stage times stay f64), the DHS factorization (the
+// ridge Gram inverse behind (Zᵀ)†, the projector sums) is still built in f64
+// by BuildContexts from the f32 latents widened once, and the carried ODE
+// state stays f64 (ode::LockstepIntegrate). Everything else per step —
+// encoder GEMMs, the p/z recoveries, phi / f_r / w_r / f_out — runs in float
+// through the same kernel entry points (8 AVX2 lanes instead of 4); the
+// zoo-level agreement bound lives in tests/precision_test.cc.
+//
+// The engine is written once. The dtypes differ at two seams only:
+//   - applying a layer: the f64 engine runs the nn:: modules, the f32 engine
+//     the frozen ServingF32 snapshot (Layers / Apply);
+//   - the per-row DHS recoveries: tensor chains that replay dhs.cc bit for
+//     bit at f64, fused allocation-free loops at f32 (RowRecovery).
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/batch_plans.h"
-#include "core/diffode_f32.h"
 #include "core/diffode_model.h"
 #include "data/encoding.h"
+#include "nn/frozen.h"
 #include "ode/lockstep.h"
 #include "tensor/kernels.h"
 
 namespace diffode::core {
+
+// The frozen f32 parameter snapshot. Built by DiffOde::OnFrozen AFTER
+// Module::Freeze has rounded every parameter through float, so each Cast
+// here is exact and a save → load → Freeze(kF32) round-trip rebuilds the
+// snapshot bit-identically (tests/serialize_roundtrip_test.cc). Members
+// mirror ModuleLayers below, name for name.
+struct ServingF32 {
+  std::optional<nn::FrozenGru<float>> gru;
+  std::optional<nn::FrozenMlp<float>> mlp_encoder;
+  nn::FrozenMlp<float> phi;
+  nn::FrozenMlp<float> f_r;
+  nn::FrozenLinear<float> w_r;
+  nn::FrozenMlp<float> f_out_cls;
+  nn::FrozenMlp<float> f_out_reg;
+  Tensor32 hippo_a_t;  // dc x dc (Aᵀ; constants, cast directly)
+  Tensor32 hippo_b_t;  // 1 x dc (Bᵀ)
+};
+
 namespace {
 
-// Must match the kSpan of diffode_model.cc: the per-sequence Encode maps
-// the observation window onto [0, kSpan] before integration.
-constexpr Scalar kSpan = 10.0;
+// The f64 layer set: the model's own nn:: modules.
+struct ModuleLayers {
+  const nn::GruCell* gru;      // null under the MLP encoder
+  const nn::Mlp* mlp_encoder;  // null under the GRU encoder
+  const nn::Mlp& phi;
+  const nn::Mlp& f_r;
+  const nn::Linear& w_r;
+  const nn::Mlp& f_out_cls;
+  const nn::Mlp& f_out_reg;
+  const Tensor& hippo_a_t;
+  const Tensor& hippo_b_t;
+};
+
+// The layer seam: an nn:: module runs its autograd forward (tape-free under
+// the entry points' NoGradScope), a frozen snapshot layer its plain-tensor
+// forward.
+template <typename M, typename... X>
+Tensor Apply(const M& module, const Tensor& x, const X&... more) {
+  return module.Forward(ag::Constant(x), ag::Constant(more)...).value();
+}
+template <typename M, typename... X>
+Tensor32 Apply(const M& layer, const Tensor32& x, const X&... more) {
+  return layer.Forward(x, more...);
+}
+
+// An f64 tensor at dtype T (forwarded at f64, so an rvalue moves), and back.
+template <typename T, typename X>
+TensorT<T> AsDtype(X&& x) {
+  if constexpr (std::is_same_v<T, Scalar>) return std::forward<X>(x);
+  else return x.template Cast<T>();
+}
+template <typename T>
+Tensor Widen(TensorT<T> x) {
+  if constexpr (std::is_same_v<T, Scalar>) return x;
+  else return x.template Cast<Scalar>();
+}
 
 // Plain-tensor mirrors of dhs.cc's RecoverPVar / RecoverZVar /
 // DhsDerivative value chains. Each statement reproduces one autograd op's
@@ -89,82 +160,340 @@ Tensor DerivativeRow(const DhsContext& ctx, const Tensor& w_h,
   return term1;
 }
 
+// Float casts of one head's DhsContext: the f64 factorization cast down once
+// per sequence; only the per-step recoveries consume the float copies.
+struct DhsContextF32 {
+  Tensor32 zt_pinv;      // (Zᵀ)†, n x d_h
+  Tensor32 pinv_colsum;  // 1ᵀ (Zᵀ)†, 1 x d_h; column sums, summed in f64
+  Tensor32 ap_rowsum;    // (A_p J)ᵀ, 1 x n
+  Tensor32 ada_corr;     // h A_p, 1 x n; empty unless the adaH strategy
+  Tensor32 z;            // n x d_h
+  float ap_total = 0.0f;
+};
+
+DhsContextF32 CastContext(const DhsContext& ctx) {
+  DhsContextF32 out;
+  out.zt_pinv = ctx.zt_pinv.value().Cast<float>();
+  {
+    // Column sums of (Zᵀ)†, accumulated in f64 before the single rounding:
+    // RecoverZRow32 subtracts them instead of materialising the (cp - 1)
+    // vector, saving a scratch pass and a Scale per (row, head, stage).
+    const Tensor& pinv = ctx.zt_pinv.value();
+    const Index n = pinv.rows(), dh = pinv.cols();
+    out.pinv_colsum = Tensor32::Uninit(Shape{1, dh});
+    for (Index j = 0; j < dh; ++j) {
+      Scalar acc = 0.0;
+      for (Index k = 0; k < n; ++k) acc += pinv.at(k, j);
+      out.pinv_colsum.data()[j] = static_cast<float>(acc);
+    }
+  }
+  out.ap_rowsum = ctx.ap_rowsum.value().Cast<float>();
+  if (ctx.ada_corr.defined())
+    out.ada_corr = ctx.ada_corr.value().Cast<float>();
+  out.z = ctx.z.value().Cast<float>();
+  out.ap_total = static_cast<float>(ctx.ap_total.value().item());
+  return out;
+}
+
+// Allocation-free float recoveries: the same math as RecoverPRow /
+// RecoverZRow / DerivativeRow, fused into raw loops over caller-provided
+// scratch. Per RK stage the tensor-temporary formulation pays ~8 pool
+// round-trips per (row, head); at f32 serving rates that bookkeeping, not
+// the arithmetic, dominates, so the f32 tier writes p / z / dstate straight
+// into flat buffers instead.
+
+// p = s_h (Zᵀ)† (+ strategy correction), written into p_out[n].
+void RecoverPRow32(const DhsContextF32& ctx, const float* s_h, Index dh,
+                   sparsity::PtStrategy strategy, float* p_out) {
+  const Index n = ctx.zt_pinv.rows();
+  // p (1 x n) = s_h (1 x dh) · pinvᵀ, pinv stored n x dh row-major.
+  kernels::GemmNT(1, dh, n, s_h, ctx.zt_pinv.data(), p_out);
+  switch (strategy) {
+    case sparsity::PtStrategy::kMinNorm:
+      return;
+    case sparsity::PtStrategy::kAdaH:
+      DIFFODE_CHECK_GT(ctx.ada_corr.numel(), 0);
+      kernels::Axpy(n, 1.0f, ctx.ada_corr.data(), p_out);
+      return;
+    case sparsity::PtStrategy::kExactKkt:
+      [[fallthrough]];
+    case sparsity::PtStrategy::kMaxHoyer: {
+      const float total = ctx.ap_total;
+      // Same degenerate-projector guard as the f64 recovery (1e-10 is far
+      // below f32 resolution of a well-conditioned total, so both paths
+      // take the same branch on real contexts).
+      if (std::fabs(total) < 1e-10f) return;
+      const float coeff = (kernels::Sum(n, p_out) - 1.0f) * (1.0f / total);
+      kernels::Axpy(n, -coeff, ctx.ap_rowsum.data(), p_out);
+      return;
+    }
+  }
+  DIFFODE_CHECK(false);
+}
+
+// z_h = sqrt(d) * (c p - 1) (Zᵀ)† with c = <p,h2>/<p,p>, written into
+// z_out[dh]. Expanded as c*sqrt(d)*(p · pinv) - sqrt(d)*colsum(pinv), with
+// the column sums precomputed (in f64) by CastContext — one GEMM, no
+// scratch vector, no trailing Scale.
+void RecoverZRow32(const DhsContextF32& ctx, const float* p, const float* h2,
+                   Index dh, float* z_out) {
+  const Index n = ctx.zt_pinv.rows();
+  const float pp = kernels::Dot(n, p, p);
+  const float ph = kernels::Dot(n, p, h2);
+  const float sq = std::sqrt(static_cast<float>(dh));
+  const float c = ph / pp * sq;
+  kernels::Gemm(1, n, dh, p, ctx.zt_pinv.data(), z_out);
+  const float* cs = ctx.pinv_colsum.data();
+  for (Index j = 0; j < dh; ++j) z_out[j] = c * z_out[j] - sq * cs[j];
+}
+
+// ds = scale * ((u ⊙ p) Z - <u,p> p Z) with u = Z w_h, written into
+// ds_out[dh]; scratch must hold 3*n + 2*dh floats (u ‖ [u⊙p ; p] ‖ C2).
+// The two (1 x n)·(n x dh) products share Z, so they run as ONE m=2 GEMM:
+// same arithmetic per output, half the kernel dispatches, and the panel
+// reuses each Z row for both output rows while it is hot.
+void DerivativeRow32(const DhsContextF32& ctx, const float* w_h,
+                     const float* p, Index dh, float* scratch,
+                     float* ds_out) {
+  const Index n = ctx.z.rows();
+  const float* z = ctx.z.data();  // n x dh, row-major
+  float* u = scratch;
+  float* a2 = scratch + n;  // [u ⊙ p ; p], 2 x n
+  float* c2 = a2 + 2 * n;   // [term1 ; term2], 2 x dh
+  kernels::GemmNT(1, dh, n, w_h, z, u);  // u (1 x n) = w_h · Zᵀ
+  const float up = kernels::Dot(n, u, p);
+  for (Index k = 0; k < n; ++k) a2[k] = u[k] * p[k];
+  std::copy_n(p, n, a2 + n);
+  kernels::Gemm(2, n, dh, a2, z, c2);
+  const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+  for (Index j = 0; j < dh; ++j)
+    ds_out[j] = scale * (c2[j] - up * c2[dh + j]);
+}
+
+// The per-head context the recoveries read at dtype T.
+template <typename T>
+using HeadContext =
+    std::conditional_t<std::is_same_v<T, float>, DhsContextF32, DhsContext>;
+
+// The recovery seam: p and z of one (row, head) before phi, its ds after.
+// `slot` = row * heads + head keeps each p until its derivative pass; the
+// buffers are reused across RK stages.
+template <typename T>
+class RowRecovery;
+
+template <>
+class RowRecovery<Scalar> {
+ public:
+  RowRecovery(Index dh, Index /*max_n*/)
+      : s_h_(Tensor::Uninit(Shape{1, dh})),
+        w_h_(Tensor::Uninit(Shape{1, dh})) {}
+  void Resize(Index slots) { p_.resize(static_cast<std::size_t>(slots)); }
+  void PZ(const DhsContext& ctx, const Tensor& h2,
+          sparsity::PtStrategy strategy, Index slot, const Scalar* s_h,
+          Scalar* z_out) {
+    Tensor& p = p_[static_cast<std::size_t>(slot)];
+    std::copy_n(s_h, s_h_.numel(), s_h_.data());
+    p = RecoverPRow(ctx, s_h_, strategy);
+    const Tensor z_h = RecoverZRow(ctx, p, h2);
+    std::copy_n(z_h.data(), z_h.numel(), z_out);
+  }
+  void Derivative(const DhsContext& ctx, Index slot, const Scalar* w_h,
+                  Scalar* ds_out) {
+    std::copy_n(w_h, w_h_.numel(), w_h_.data());
+    const Tensor ds =
+        DerivativeRow(ctx, w_h_, p_[static_cast<std::size_t>(slot)]);
+    std::copy_n(ds.data(), ds.numel(), ds_out);
+  }
+
+ private:
+  std::vector<Tensor> p_;
+  Tensor s_h_, w_h_;
+};
+
+template <>
+class RowRecovery<float> {
+ public:
+  // p slots are max_n apart in one flat buffer; one derivative scratch.
+  RowRecovery(Index dh, Index max_n)
+      : dh_(dh), max_n_(max_n),
+        scratch_(static_cast<std::size_t>(3 * max_n + 2 * dh)) {}
+  void Resize(Index slots) {
+    p_.resize(static_cast<std::size_t>(slots * max_n_));
+  }
+  void PZ(const DhsContextF32& ctx, const Tensor32& h2,
+          sparsity::PtStrategy strategy, Index slot, const float* s_h,
+          float* z_out) {
+    float* p = p_.data() + slot * max_n_;
+    RecoverPRow32(ctx, s_h, dh_, strategy, p);
+    RecoverZRow32(ctx, p, h2.data(), dh_, z_out);
+  }
+  void Derivative(const DhsContextF32& ctx, Index slot, const float* w_h,
+                  float* ds_out) {
+    DerivativeRow32(ctx, w_h, p_.data() + slot * max_n_, dh_,
+                    scratch_.data(), ds_out);
+  }
+
+ private:
+  Index dh_, max_n_;
+  std::vector<float> p_, scratch_;
+};
+
+// One row of ReadoutInput's layout ([S | r], S, or [z̄ | r]) copied straight
+// out of a state row: ReadoutInput is pure slicing and concatenation.
+template <typename T>
+void ReadoutRow(const DiffOdeConfig& config, const T* z_mean, const T* state,
+                T* dst) {
+  const Index d = config.latent_dim;
+  const Index dc = config.hippo_dim;
+  const Index dr = config.info_dim;
+  if (!config.use_attention) {
+    std::copy_n(z_mean, d, dst);
+    std::copy_n(state + dc, dr, dst + d);
+  } else if (config.head == OutputHead::kDirect) {
+    std::copy_n(state, d, dst);
+  } else {
+    std::copy_n(state, d, dst);
+    std::copy_n(state + d + dc, dr, dst + d);
+  }
+}
+
 }  // namespace
 
-std::vector<DiffOde::Encoded> DiffOde::EncodeBatched(
+// One sequence's encoding as the batched RHS and readouts read it, at T.
+template <typename T>
+struct DiffOde::BatchedEncoded {
+  std::vector<HeadContext<T>> heads;
+  TensorT<T> h2;      // 1 x n (attention paths)
+  TensorT<T> z_mean;  // 1 x d
+  TensorT<T> y0;      // 1 x StateDim(), built in f64 and rounded to T
+  std::vector<Scalar> norm_times;
+  Scalar t_scale = 1.0;
+  Scalar t_offset = 0.0;
+};
+
+void DiffOde::OnFrozen(Precision precision) {
+  if (precision != Precision::kF32) {
+    serving_f32_ = nullptr;
+    return;
+  }
+  auto snap = std::make_shared<ServingF32>();
+  if (gru_encoder_)
+    snap->gru = nn::FrozenGru<float>::FromModule(*gru_encoder_);
+  else
+    snap->mlp_encoder = nn::FrozenMlp<float>::FromModule(*mlp_encoder_);
+  snap->phi = nn::FrozenMlp<float>::FromModule(*phi_);
+  snap->f_r = nn::FrozenMlp<float>::FromModule(*f_r_);
+  snap->w_r = nn::FrozenLinear<float>::FromModule(*w_r_);
+  snap->f_out_cls = nn::FrozenMlp<float>::FromModule(*f_out_cls_);
+  snap->f_out_reg = nn::FrozenMlp<float>::FromModule(*f_out_reg_);
+  snap->hippo_a_t = hippo_a_t_.Cast<float>();
+  snap->hippo_b_t = hippo_b_t_.Cast<float>();
+  serving_f32_ = std::move(snap);
+}
+
+template <typename T>
+decltype(auto) DiffOde::Layers() const {
+  if constexpr (std::is_same_v<T, float>) {
+    return static_cast<const ServingF32&>(*serving_f32_);
+  } else {
+    return ModuleLayers{gru_encoder_.get(), mlp_encoder_.get(), *phi_,
+                        *f_r_, *w_r_, *f_out_cls_, *f_out_reg_, hippo_a_t_,
+                        hippo_b_t_};
+  }
+}
+
+template <typename T>
+std::vector<DiffOde::BatchedEncoded<T>> DiffOde::EncodeBatched(
     const data::SequenceBatch& batch) const {
+  const auto& net = Layers<T>();
   const Index b = batch.batch;
-  const Index f = config_.input_dim;
   const Index d = config_.latent_dim;
-  DIFFODE_CHECK_EQ(batch.features, f);
+  DIFFODE_CHECK_EQ(batch.features, config_.input_dim);
+  // Encoder inputs come from the shared f64 featurizer; the f32 engine
+  // rounds them to float once per row.
   std::vector<data::EncoderInputs> inputs;
+  std::vector<TensorT<T>> in_t(static_cast<std::size_t>(b));
   inputs.reserve(static_cast<std::size_t>(b));
   Index max_n = 0;
   for (Index r = 0; r < b; ++r) {
     const data::IrregularSeries& s = *batch.series[static_cast<std::size_t>(r)];
     DIFFODE_CHECK_GE(s.length(), 2);
     inputs.push_back(data::BuildEncoderInputs(s, kSpan));
+    in_t[static_cast<std::size_t>(r)] =
+        AsDtype<T>(std::move(inputs.back().inputs));
     max_n = std::max(max_n, s.length());
   }
-  std::vector<Tensor> z_rows(static_cast<std::size_t>(b));
+  std::vector<TensorT<T>> z_rows(static_cast<std::size_t>(b));
   if (gru_encoder_) {
     // The GRU recurrence is indexed by observation number, not time, so all
     // rows advance one observation per wave: gather the still-active rows,
-    // run one batched GruCell step (GEMM shape m = E), scatter back.
+    // run one batched GRU step (GEMM shape m = E), scatter back.
     for (Index r = 0; r < b; ++r)
-      z_rows[static_cast<std::size_t>(r)] = Tensor::Uninit(
+      z_rows[static_cast<std::size_t>(r)] = TensorT<T>::Uninit(
           Shape{batch.lengths[static_cast<std::size_t>(r)], d});
-    const Index enc_in = inputs.front().inputs.cols();
-    Tensor h_all(Shape{b, d});  // zeros, as GruCell::InitialState per row
+    const Index enc_in = in_t.front().cols();
+    TensorT<T> h_all(Shape{b, d});  // zeros, as GruCell::InitialState per row
     std::vector<Index> active;
     for (Index i = 0; i < max_n; ++i) {
       active.clear();
       for (Index r = 0; r < b; ++r)
         if (i < batch.lengths[static_cast<std::size_t>(r)]) active.push_back(r);
       const Index e = static_cast<Index>(active.size());
-      Tensor x_step = Tensor::Uninit(Shape{e, enc_in});
-      for (Index j = 0; j < e; ++j)
-        std::copy_n(
-            inputs[static_cast<std::size_t>(active[static_cast<std::size_t>(j)])]
-                    .inputs.data() +
-                i * enc_in,
-            enc_in, x_step.data() + j * enc_in);
-      Tensor h_step = Tensor::Uninit(Shape{e, d});
+      TensorT<T> x_step = TensorT<T>::Uninit(Shape{e, enc_in});
+      for (Index j = 0; j < e; ++j) {
+        const Index r = active[static_cast<std::size_t>(j)];
+        std::copy_n(in_t[static_cast<std::size_t>(r)].data() + i * enc_in,
+                    enc_in, x_step.data() + j * enc_in);
+      }
+      TensorT<T> h_step = TensorT<T>::Uninit(Shape{e, d});
       kernels::SelectRows(e, d, active.data(), h_all.data(), h_step.data());
-      Tensor h_new =
-          gru_encoder_->Forward(ag::Constant(x_step), ag::Constant(h_step))
-              .value();
+      const TensorT<T> h_new = Apply(*net.gru, x_step, h_step);
       kernels::ScatterRows(e, d, active.data(), h_new.data(), h_all.data());
-      for (Index j = 0; j < e; ++j)
-        std::copy_n(
-            h_new.data() + j * d, d,
-            z_rows[static_cast<std::size_t>(active[static_cast<std::size_t>(j)])]
-                    .data() +
-                i * d);
+      for (Index j = 0; j < e; ++j) {
+        const Index r = active[static_cast<std::size_t>(j)];
+        std::copy_n(h_new.data() + j * d, d,
+                    z_rows[static_cast<std::size_t>(r)].data() + i * d);
+      }
     }
   } else {
     for (Index r = 0; r < b; ++r)
       z_rows[static_cast<std::size_t>(r)] =
-          mlp_encoder_->Forward(
-                  ag::Constant(inputs[static_cast<std::size_t>(r)].inputs))
-              .value();
+          Apply(*net.mlp_encoder, in_t[static_cast<std::size_t>(r)]);
   }
-  std::vector<Encoded> encs(static_cast<std::size_t>(b));
+  // Context factorization in f64 for both dtypes: BuildContexts runs on the
+  // (widened) latents, then the per-step tensors are taken at T. The
+  // inversion is the numerically delicate part of DHS; keeping it f64 costs
+  // one factorization per sequence, not per step, and is what keeps the f32
+  // logits inside the 1e-4 agreement band.
+  std::vector<BatchedEncoded<T>> encs(static_cast<std::size_t>(b));
   for (Index r = 0; r < b; ++r) {
-    Encoded& enc = encs[static_cast<std::size_t>(r)];
     data::EncoderInputs& in = inputs[static_cast<std::size_t>(r)];
-    enc.t_scale = in.t_scale;
-    enc.t_offset = in.t_offset;
-    enc.norm_times = std::move(in.norm_times);
-    enc.z = ag::Constant(z_rows[static_cast<std::size_t>(r)]);
+    Encoded enc;
+    enc.z = ag::Constant(
+        Widen<T>(std::move(z_rows[static_cast<std::size_t>(r)])));
     BuildContexts(&enc);
+    BatchedEncoded<T>& out = encs[static_cast<std::size_t>(r)];
+    out.y0 = AsDtype<T>(InitialState(enc).value());
+    if constexpr (std::is_same_v<T, float>) {
+      for (const DhsContext& ctx : enc.heads)
+        out.heads.push_back(CastContext(ctx));
+    } else {
+      out.heads = std::move(enc.heads);
+    }
+    if (enc.h2.defined()) out.h2 = AsDtype<T>(enc.h2.value());
+    out.z_mean = AsDtype<T>(enc.z_mean.value());
+    out.norm_times = std::move(in.norm_times);
+    out.t_scale = in.t_scale;
+    out.t_offset = in.t_offset;
   }
   return encs;
 }
 
-std::vector<std::vector<Tensor>> DiffOde::BatchedStatesAt(
-    const std::vector<Encoded>& encs,
+template <typename T>
+std::vector<std::vector<TensorT<T>>> DiffOde::BatchedStatesAt(
+    const std::vector<BatchedEncoded<T>>& encs,
     const std::vector<std::vector<Scalar>>& norm_queries) const {
+  const auto& net = Layers<T>();
   const Index b = static_cast<Index>(encs.size());
   const Index sd = StateDim();
   const Index d = config_.latent_dim;
@@ -176,61 +505,73 @@ std::vector<std::vector<Tensor>> DiffOde::BatchedStatesAt(
   const bool direct = config_.head == OutputHead::kDirect;
   const bool anchored = attn && config_.consistency_weight > 0.0;
 
-  // Per-row plans replicating StatesAt's grid (see core/batch_plans.h); the
-  // builder is shared with the f32 serving engine so both precisions replay
-  // identical timelines.
-  std::vector<const std::vector<Scalar>*> anchors(static_cast<std::size_t>(b),
-                                                  nullptr);
-  if (anchored)
-    for (Index r = 0; r < b; ++r)
-      anchors[static_cast<std::size_t>(r)] =
-          &encs[static_cast<std::size_t>(r)].norm_times;
-  BatchPlans bp = BuildBatchPlans(norm_queries, anchors, config_.step);
-  const std::vector<ode::RowPlan>& plans = bp.plans;
-  const std::vector<Index>& orig_of_row = bp.orig_of_row;
-  const std::vector<std::vector<Scalar>>& slots = bp.slots;
-  const std::vector<Index>& back_row = bp.back_row;
-  std::vector<const Encoded*> row_enc;
-  row_enc.reserve(orig_of_row.size());
-  for (Index orig : orig_of_row)
+  // Per-row plans replicating StatesAt's grid (see core/batch_plans.h),
+  // always f64, so both dtypes replay identical timelines.
+  std::vector<const std::vector<Scalar>*> anchors;
+  anchors.reserve(encs.size());
+  for (const BatchedEncoded<T>& e : encs)
+    anchors.push_back(anchored ? &e.norm_times : nullptr);
+  const BatchPlans bp = BuildBatchPlans(norm_queries, anchors, config_.step);
+  std::vector<const BatchedEncoded<T>*> row_enc;
+  row_enc.reserve(bp.orig_of_row.size());
+  for (Index orig : bp.orig_of_row)
     row_enc.push_back(&encs[static_cast<std::size_t>(orig)]);
 
-  const Index rows_total = static_cast<Index>(plans.size());
-  Tensor y = Tensor::Uninit(Shape{rows_total, sd});
+  // The carried state is f64 for both dtypes (ode::LockstepIntegrate).
+  Tensor y = Tensor::Uninit(Shape{static_cast<Index>(bp.plans.size()), sd});
   for (Index r = 0; r < b; ++r) {
-    const Tensor y0 = InitialState(encs[static_cast<std::size_t>(r)]).value();
+    const TensorT<T>& y0 = encs[static_cast<std::size_t>(r)].y0;
     std::copy_n(y0.data(), sd, y.data() + r * sd);
-    const Index br = back_row[static_cast<std::size_t>(r)];
+    const Index br = bp.back_row[static_cast<std::size_t>(r)];
     if (br >= 0) std::copy_n(y0.data(), sd, y.data() + br * sd);
   }
 
-  // The batched RHS: per-row DHS inversion with the exact per-sequence
-  // arithmetic, shared MLPs evaluated once for all active rows.
-  const ode::BatchedRhs rhs = [&](const std::vector<Index>& rows,
-                                  const std::vector<Scalar>& tt,
-                                  const Tensor& ya) -> Tensor {
+  // Buffers reused across RK stages, reshaped only when the active-row
+  // count changes. p slots are sized by the longest context in the batch.
+  Index max_n = 1;
+  for (const BatchedEncoded<T>& e : encs)
+    max_n = std::max(max_n, static_cast<Index>(e.norm_times.size()));
+  RowRecovery<T> recovery(dh, max_n);
+  TensorT<T> xphi, xfr, c_mat, r_mat;
+  std::vector<T> outer(static_cast<std::size_t>(dc));
+  Index cached_a = -1;
+
+  // The batched RHS: per-row DHS inversion, shared layers evaluated once
+  // for all active rows.
+  const ode::BatchedRhsT<T> rhs = [&](const std::vector<Index>& rows,
+                                      const std::vector<Scalar>& tt,
+                                      const TensorT<T>& ya) -> TensorT<T> {
     const Index a = static_cast<Index>(rows.size());
-    Tensor k_out = Tensor::Uninit(Shape{a, sd});
+    if (cached_a != a) {
+      cached_a = a;
+      if (attn)
+        xphi = TensorT<T>::Uninit(Shape{a, d + 1});
+      else
+        xfr = TensorT<T>::Uninit(Shape{a, d + dc + dr});
+      if (!attn || !direct) {
+        c_mat = TensorT<T>::Uninit(Shape{a, dc});
+        r_mat = TensorT<T>::Uninit(Shape{a, dr});
+      }
+      recovery.Resize(a * heads);
+    }
+    TensorT<T> k_out = TensorT<T>::Uninit(Shape{a, sd});
     // The HiPPO tail dc/dt = c Aᵀ + Bᵀ (w_r r), dr/dt = f_r(...): u_r comes
     // from the batched f_r forward; the Bᵀ outer product and the add are
     // per-row loops split across stored temporaries (exact elementwise ops,
     // so bitwise regardless of batching).
-    std::vector<Scalar> outer(static_cast<std::size_t>(dc));
-    const auto hippo_tail = [&](Index s_width, const Tensor& u_r) {
-      Tensor c_mat = Tensor::Uninit(Shape{a, dc});
-      Tensor r_mat = Tensor::Uninit(Shape{a, dr});
+    const auto hippo_tail = [&](Index s_width, const TensorT<T>& u_r) {
       for (Index i = 0; i < a; ++i) {
         std::copy_n(ya.data() + i * sd + s_width, dc, c_mat.data() + i * dc);
         std::copy_n(ya.data() + i * sd + s_width + dc, dr,
                     r_mat.data() + i * dr);
       }
-      Tensor dcm = c_mat.MatMul(hippo_a_t_);                          // a x dc
-      Tensor wr = w_r_->Forward(ag::Constant(r_mat)).value();         // a x 1
-      const Scalar* bt = hippo_b_t_.data();
+      const TensorT<T> dcm = c_mat.MatMul(net.hippo_a_t);  // a x dc
+      const TensorT<T> wr = Apply(net.w_r, r_mat);         // a x 1
+      const T* bt = net.hippo_b_t.data();
       for (Index i = 0; i < a; ++i) {
-        Scalar* krow = k_out.data() + i * sd + s_width;
-        const Scalar* dcrow = dcm.data() + i * dc;
-        const Scalar wri = wr.data()[i];
+        T* krow = k_out.data() + i * sd + s_width;
+        const T* dcrow = dcm.data() + i * dc;
+        const T wri = wr.data()[i];
         for (Index j = 0; j < dc; ++j)
           outer[static_cast<std::size_t>(j)] = bt[j] * wri;
         for (Index j = 0; j < dc; ++j)
@@ -240,79 +581,63 @@ std::vector<std::vector<Tensor>> DiffOde::BatchedStatesAt(
     };
     if (!attn) {
       // HiPPO-RNN-like ablation: rows are [c | r], f_r sees [z_mean | c | r].
-      Tensor xfr = Tensor::Uninit(Shape{a, d + dc + dr});
       for (Index i = 0; i < a; ++i) {
-        const Encoded& enc = *row_enc[static_cast<std::size_t>(
+        const BatchedEncoded<T>& enc = *row_enc[static_cast<std::size_t>(
             rows[static_cast<std::size_t>(i)])];
-        std::copy_n(enc.z_mean.value().data(), d, xfr.data() + i * (d + dc + dr));
+        std::copy_n(enc.z_mean.data(), d, xfr.data() + i * (d + dc + dr));
         std::copy_n(ya.data() + i * sd, dc + dr,
                     xfr.data() + i * (d + dc + dr) + d);
       }
-      const Tensor u_r = f_r_->Forward(ag::Constant(xfr)).value();
-      hippo_tail(0, u_r);
+      hippo_tail(0, Apply(net.f_r, xfr));
       return k_out;
     }
     // Invert the attention per row and head, then run phi once for the
     // whole wave: rows of xphi are [z_recovered | t_row]. The per-row
     // recoveries are serial: serving parallelism is per micro-batch
     // (core/batch_predictor.cc), not per RK stage.
-    std::vector<std::vector<Tensor>> p_rows(
-        static_cast<std::size_t>(heads),
-        std::vector<Tensor>(static_cast<std::size_t>(a)));
-    Tensor xphi = Tensor::Uninit(Shape{a, d + 1});
-    Tensor s_h = Tensor::Uninit(Shape{1, dh});
     for (Index i = 0; i < a; ++i) {
-      const Encoded& enc = *row_enc[static_cast<std::size_t>(
+      const BatchedEncoded<T>& enc = *row_enc[static_cast<std::size_t>(
           rows[static_cast<std::size_t>(i)])];
-      const Scalar* yrow = ya.data() + i * sd;
-      for (Index hh = 0; hh < heads; ++hh) {
-        const DhsContext& ctx = enc.heads[static_cast<std::size_t>(hh)];
-        std::copy_n(yrow + hh * dh, dh, s_h.data());
-        Tensor p = RecoverPRow(ctx, s_h, config_.pt_strategy);
-        const Tensor z_h = RecoverZRow(ctx, p, enc.h2.value());
-        std::copy_n(z_h.data(), dh, xphi.data() + i * (d + 1) + hh * dh);
-        p_rows[static_cast<std::size_t>(hh)][static_cast<std::size_t>(i)] =
-            std::move(p);
-      }
-      xphi.data()[i * (d + 1) + d] = tt[static_cast<std::size_t>(i)];
+      for (Index hh = 0; hh < heads; ++hh)
+        recovery.PZ(enc.heads[static_cast<std::size_t>(hh)], enc.h2,
+                    config_.pt_strategy, i * heads + hh,
+                    ya.data() + i * sd + hh * dh,
+                    xphi.data() + i * (d + 1) + hh * dh);
+      xphi.data()[i * (d + 1) + d] =
+          static_cast<T>(tt[static_cast<std::size_t>(i)]);
     }
-    const Tensor w = ag::Tanh(phi_->Forward(ag::Constant(xphi))).value();
-    Tensor w_h = Tensor::Uninit(Shape{1, dh});
+    TensorT<T> w = Apply(net.phi, xphi);
+    kernels::MapTanh(w.numel(), w.data(), w.data());
     for (Index i = 0; i < a; ++i) {
-      const Encoded& enc = *row_enc[static_cast<std::size_t>(
+      const BatchedEncoded<T>& enc = *row_enc[static_cast<std::size_t>(
           rows[static_cast<std::size_t>(i)])];
-      for (Index hh = 0; hh < heads; ++hh) {
-        std::copy_n(w.data() + i * d + hh * dh, dh, w_h.data());
-        const Tensor ds = DerivativeRow(
-            enc.heads[static_cast<std::size_t>(hh)], w_h,
-            p_rows[static_cast<std::size_t>(hh)][static_cast<std::size_t>(i)]);
-        std::copy_n(ds.data(), dh, k_out.data() + i * sd + hh * dh);
-      }
+      for (Index hh = 0; hh < heads; ++hh)
+        recovery.Derivative(enc.heads[static_cast<std::size_t>(hh)],
+                            i * heads + hh, w.data() + i * d + hh * dh,
+                            k_out.data() + i * sd + hh * dh);
     }
-    if (!direct) {
-      // f_r's input [s | c | r] is exactly the packed state row.
-      const Tensor u_r = f_r_->Forward(ag::Constant(ya)).value();
-      hippo_tail(d, u_r);
-    }
+    // f_r's input [s | c | r] is exactly the packed state row.
+    if (!direct) hippo_tail(d, Apply(net.f_r, ya));
     return k_out;
   };
 
-  std::vector<std::vector<Tensor>> slot_states(static_cast<std::size_t>(b));
-  for (Index r = 0; r < b; ++r)
-    slot_states[static_cast<std::size_t>(r)].resize(
-        slots[static_cast<std::size_t>(r)].size());
+  std::vector<std::vector<TensorT<T>>> slot_states;
+  slot_states.reserve(bp.slots.size());
+  for (const std::vector<Scalar>& sl : bp.slots)
+    slot_states.emplace_back(sl.size());
   const ode::LockstepEventFn on_event =
       [&](const std::vector<ode::LockstepEvent>& events, Tensor* yp) {
         for (const ode::LockstepEvent& e : events)
           slot_states[static_cast<std::size_t>(
-              orig_of_row[static_cast<std::size_t>(e.row)])]
-                     [static_cast<std::size_t>(e.tag)] = yp->Row(e.row);
+              bp.orig_of_row[static_cast<std::size_t>(e.row)])]
+                     [static_cast<std::size_t>(e.tag)] =
+                         AsDtype<T>(yp->Row(e.row));
       };
-  ode::LockstepIntegrate(plans, diff_method_, rhs, on_event, &y);
+  ode::LockstepIntegrate(bp.plans, diff_method_, rhs, on_event, &y);
 
-  std::vector<std::vector<Tensor>> out(static_cast<std::size_t>(b));
+  std::vector<std::vector<TensorT<T>>> out(static_cast<std::size_t>(b));
   for (Index r = 0; r < b; ++r) {
-    const std::vector<Scalar>& sl = slots[static_cast<std::size_t>(r)];
+    const std::vector<Scalar>& sl = bp.slots[static_cast<std::size_t>(r)];
     auto& dst = out[static_cast<std::size_t>(r)];
     dst.reserve(norm_queries[static_cast<std::size_t>(r)].size());
     for (Scalar t : norm_queries[static_cast<std::size_t>(r)]) {
@@ -324,101 +649,88 @@ std::vector<std::vector<Tensor>> DiffOde::BatchedStatesAt(
   return out;
 }
 
-Tensor DiffOde::ClassifyLogitsBatched(const data::SequenceBatch& batch) {
-  if (serving_f32_)
-    return DiffOdeF32Engine::ClassifyLogitsBatched(*this, batch);
+template <typename T>
+Tensor DiffOde::BatchedLogits(const data::SequenceBatch& batch) const {
   ag::NoGradScope no_grad;
-  std::vector<Encoded> encs = EncodeBatched(batch);
+  const std::vector<BatchedEncoded<T>> encs = EncodeBatched<T>(batch);
+  std::vector<std::vector<Scalar>> queries;
+  queries.reserve(encs.size());
+  for (const BatchedEncoded<T>& enc : encs) queries.push_back(enc.norm_times);
+  const std::vector<std::vector<TensorT<T>>> states =
+      BatchedStatesAt<T>(encs, queries);
   const Index b = batch.batch;
-  std::vector<std::vector<Scalar>> queries(static_cast<std::size_t>(b));
-  for (Index r = 0; r < b; ++r)
-    queries[static_cast<std::size_t>(r)] =
-        encs[static_cast<std::size_t>(r)].norm_times;
-  const std::vector<std::vector<Tensor>> states =
-      BatchedStatesAt(encs, queries);
   const Index ro = ReadoutDim();
-  const Index sd = StateDim();
-  const Index d = config_.latent_dim;
-  const Index dc = config_.hippo_dim;
-  const Index dr = config_.info_dim;
-  const bool attn = config_.use_attention;
-  const bool direct = config_.head == OutputHead::kDirect;
-  Tensor x = Tensor::Uninit(Shape{b, 2 * ro});
+  TensorT<T> x = TensorT<T>::Uninit(Shape{b, 2 * ro});
   // One mean-pooled readout chain per row, as raw loops: ReadoutInput is
   // pure slicing/concat and AddInPlace/MulScalar are elementwise in fixed
   // order, so accumulating the slices directly reproduces the per-sequence
   // chain bit for bit without its per-state Var and concat allocations.
-  std::vector<Scalar> acc(static_cast<std::size_t>(ro));
-  std::vector<Scalar> ri(static_cast<std::size_t>(ro));
+  std::vector<T> acc(static_cast<std::size_t>(ro));
+  std::vector<T> ri(static_cast<std::size_t>(ro));
   for (Index r = 0; r < b; ++r) {
-    const Encoded& enc = encs[static_cast<std::size_t>(r)];
-    const std::vector<Tensor>& st = states[static_cast<std::size_t>(r)];
-    const Scalar* zm = attn ? nullptr : enc.z_mean.value().data();
-    const auto read_into = [&](const Tensor& state, Scalar* dst) {
-      const Scalar* sv = state.data();
-      if (!attn) {
-        std::copy_n(zm, d, dst);
-        std::copy_n(sv + dc, dr, dst + d);
-      } else if (direct) {
-        std::copy_n(sv, sd, dst);
-      } else {
-        std::copy_n(sv, d, dst);
-        std::copy_n(sv + d + dc, dr, dst + d);
-      }
-    };
-    read_into(st[0], acc.data());
+    const T* zm = encs[static_cast<std::size_t>(r)].z_mean.data();
+    const std::vector<TensorT<T>>& st = states[static_cast<std::size_t>(r)];
+    ReadoutRow(config_, zm, st[0].data(), acc.data());
     for (std::size_t i = 1; i < st.size(); ++i) {
-      read_into(st[static_cast<std::size_t>(i)], ri.data());
+      ReadoutRow(config_, zm, st[i].data(), ri.data());
       for (Index j = 0; j < ro; ++j)
         acc[static_cast<std::size_t>(j)] += ri[static_cast<std::size_t>(j)];
     }
-    const Scalar inv = 1.0 / static_cast<Scalar>(st.size());
+    const T inv = T(1) / static_cast<T>(st.size());
     for (Index j = 0; j < ro; ++j) acc[static_cast<std::size_t>(j)] *= inv;
-    Scalar* xr = x.data() + r * 2 * ro;
+    T* xr = x.data() + r * 2 * ro;
     std::copy_n(acc.data(), ro, xr);
-    read_into(st.back(), xr + ro);
+    ReadoutRow(config_, zm, st.back().data(), xr + ro);
   }
-  return f_out_cls_->Forward(ag::Constant(x)).value();
+  return Widen<T>(Apply(Layers<T>().f_out_cls, x));
+}
+
+template <typename T>
+std::vector<std::vector<Tensor>> DiffOde::BatchedPredictions(
+    const data::SequenceBatch& batch,
+    const std::vector<std::vector<Scalar>>& times) const {
+  ag::NoGradScope no_grad;
+  DIFFODE_CHECK_EQ(static_cast<Index>(times.size()), batch.batch);
+  const std::vector<BatchedEncoded<T>> encs = EncodeBatched<T>(batch);
+  const Index b = batch.batch;
+  std::vector<std::vector<Scalar>> norm(times);
+  for (Index r = 0; r < b; ++r)
+    for (Scalar& t : norm[static_cast<std::size_t>(r)])
+      t = (t - encs[static_cast<std::size_t>(r)].t_offset) *
+          encs[static_cast<std::size_t>(r)].t_scale;
+  const std::vector<std::vector<TensorT<T>>> states =
+      BatchedStatesAt<T>(encs, norm);
+  const auto& net = Layers<T>();
+  const Index ro = ReadoutDim();
+  std::vector<std::vector<Tensor>> out(static_cast<std::size_t>(b));
+  for (Index r = 0; r < b; ++r) {
+    const auto& nq = norm[static_cast<std::size_t>(r)];
+    auto& dst = out[static_cast<std::size_t>(r)];
+    dst.reserve(nq.size());
+    for (std::size_t k = 0; k < nq.size(); ++k) {
+      // Per-pair head application on [ReadoutInput | t], 1 x (ReadoutDim()+1)
+      // — exactly the per-sequence shape, so regression outputs are bitwise
+      // at any B.
+      TensorT<T> xrow = TensorT<T>::Uninit(Shape{1, ro + 1});
+      ReadoutRow(config_, encs[static_cast<std::size_t>(r)].z_mean.data(),
+                 states[static_cast<std::size_t>(r)][k].data(), xrow.data());
+      xrow.data()[ro] = static_cast<T>(nq[k]);
+      dst.push_back(Widen<T>(Apply(net.f_out_reg, xrow)));
+    }
+  }
+  return out;
+}
+
+Tensor DiffOde::ClassifyLogitsBatched(const data::SequenceBatch& batch) {
+  return serving_f32_ ? BatchedLogits<float>(batch)
+                      : BatchedLogits<Scalar>(batch);
 }
 
 std::vector<std::vector<Tensor>> DiffOde::PredictAtBatched(
     const data::SequenceBatch& batch,
     const std::vector<std::vector<Scalar>>& times) {
-  if (serving_f32_) return DiffOdeF32Engine::PredictAtBatched(*this, batch, times);
-  ag::NoGradScope no_grad;
-  DIFFODE_CHECK_EQ(static_cast<Index>(times.size()), batch.batch);
-  std::vector<Encoded> encs = EncodeBatched(batch);
-  const Index b = batch.batch;
-  std::vector<std::vector<Scalar>> norm(static_cast<std::size_t>(b));
-  for (Index r = 0; r < b; ++r) {
-    const Encoded& enc = encs[static_cast<std::size_t>(r)];
-    auto& dst = norm[static_cast<std::size_t>(r)];
-    dst.reserve(times[static_cast<std::size_t>(r)].size());
-    for (Scalar t : times[static_cast<std::size_t>(r)])
-      dst.push_back((t - enc.t_offset) * enc.t_scale);
-  }
-  const std::vector<std::vector<Tensor>> states = BatchedStatesAt(encs, norm);
-  std::vector<std::vector<Tensor>> out(static_cast<std::size_t>(b));
-  for (Index r = 0; r < b; ++r) {
-    const Encoded& enc = encs[static_cast<std::size_t>(r)];
-    auto& dst = out[static_cast<std::size_t>(r)];
-    const auto& nq = norm[static_cast<std::size_t>(r)];
-    dst.reserve(nq.size());
-    for (std::size_t k = 0; k < nq.size(); ++k) {
-      // Per-pair head application on 1 x (ReadoutDim()+1), exactly the
-      // per-sequence shape, so regression outputs are bitwise at any B.
-      const ag::Var t_var = ag::Constant(Tensor::Full(Shape{1, 1}, nq[k]));
-      dst.push_back(
-          f_out_reg_
-              ->Forward(ag::ConcatCols(
-                  {ReadoutInput(
-                       enc, ag::Constant(
-                                states[static_cast<std::size_t>(r)][k])),
-                   t_var}))
-              .value());
-    }
-  }
-  return out;
+  return serving_f32_ ? BatchedPredictions<float>(batch, times)
+                      : BatchedPredictions<Scalar>(batch, times);
 }
 
 }  // namespace diffode::core

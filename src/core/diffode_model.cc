@@ -10,14 +10,6 @@
 #include "tensor/kernels.h"
 
 namespace diffode::core {
-namespace {
-
-// Normalized integration span: the context's observation window maps to
-// [0, kSpan], matching the paper's synthetic-time scale so one integration
-// step size works across datasets.
-constexpr Scalar kSpan = 10.0;
-
-}  // namespace
 
 DiffOde::DiffOde(const DiffOdeConfig& config)
     : config_(config), rng_(config.seed) {

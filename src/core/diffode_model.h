@@ -19,8 +19,8 @@
 
 namespace diffode::core {
 
-// Frozen f32 parameter snapshot + cast contexts for the f32 serving engine
-// (built by Freeze(Precision::kF32), defined in diffode_f32.cc).
+// Frozen f32 parameter snapshot for the f32 serving tier (built by
+// Freeze(Precision::kF32), defined in diffode_batched.cc).
 struct ServingF32;
 
 // The DIFFODE model (paper Secs. III-B to III-D):
@@ -46,10 +46,9 @@ class DiffOde : public SequenceModel, public BatchedSequenceModel {
   // MLPs (phi, f_r, heads) run at GEMM shape m = B while the per-sequence
   // DHS recoveries replay the exact per-sequence arithmetic. Serving/eval
   // only: runs under its own NoGradScope. After Freeze(Precision::kF32)
-  // both forwards route to the f32 serving engine (diffode_f32.cc), which
-  // runs the hot loop — encoder, DHS recoveries, phi/f_r/w_r/f_out GEMMs,
-  // lockstep integration — in float over the same RowPlan timelines and
-  // casts results back to f64 at the boundary.
+  // the same engine runs at float — encoder, DHS recoveries, phi/f_r/w_r/
+  // f_out GEMMs — over the same RowPlan timelines and f64 carried state,
+  // and casts results back to f64 at the boundary.
   Tensor ClassifyLogitsBatched(const data::SequenceBatch& batch) override;
   std::vector<std::vector<Tensor>> PredictAtBatched(
       const data::SequenceBatch& batch,
@@ -94,19 +93,43 @@ class DiffOde : public SequenceModel, public BatchedSequenceModel {
     Scalar t_offset = 0.0;
   };
 
+  // Normalized integration span: the context's observation window maps to
+  // [0, kSpan], matching the paper's synthetic-time scale so one integration
+  // step size works across datasets. Shared by Encode and EncodeBatched.
+  static constexpr Scalar kSpan = 10.0;
+
   Encoded Encode(const data::IrregularSeries& context) const;
   // Everything Encode builds after the latent matrix Z: the per-head DHS
   // contexts, free vectors, z_mean, and (grad mode only) the Hoyer term.
   // Shared by the per-sequence and batched encoders.
   void BuildContexts(Encoded* enc) const;
+  // The lockstep batched engine (diffode_batched.cc), written once and
+  // instantiated for T = double (the nn:: modules) and T = float (the
+  // frozen ServingF32 snapshot).
+  // One sequence's encoding as the engine reads it, at T.
+  template <typename T>
+  struct BatchedEncoded;
+  // The shared layers at T: the nn:: modules or the f32 snapshot.
+  template <typename T>
+  decltype(auto) Layers() const;
   // Per-row encodings with the GRU recurrence advanced in lockstep across
-  // the batch (diffode_batched.cc).
-  std::vector<Encoded> EncodeBatched(const data::SequenceBatch& batch) const;
+  // the batch; the DHS contexts are factorized in f64 at either T.
+  template <typename T>
+  std::vector<BatchedEncoded<T>> EncodeBatched(
+      const data::SequenceBatch& batch) const;
   // States for every (row, query-time) pair via one lockstep integration;
   // out[r][k] is the 1 x StateDim() state of row r at norm_queries[r][k].
-  std::vector<std::vector<Tensor>> BatchedStatesAt(
-      const std::vector<Encoded>& encs,
+  template <typename T>
+  std::vector<std::vector<TensorT<T>>> BatchedStatesAt(
+      const std::vector<BatchedEncoded<T>>& encs,
       const std::vector<std::vector<Scalar>>& norm_queries) const;
+  // The readouts behind ClassifyLogitsBatched / PredictAtBatched.
+  template <typename T>
+  Tensor BatchedLogits(const data::SequenceBatch& batch) const;
+  template <typename T>
+  std::vector<std::vector<Tensor>> BatchedPredictions(
+      const data::SequenceBatch& batch,
+      const std::vector<std::vector<Scalar>>& times) const;
   // Augmented initial state [S | c | r] (or [c | r] without attention).
   ag::Var InitialState(const Encoded& enc) const;
   // Augmented dynamics closure over the encoded context.
@@ -123,7 +146,7 @@ class DiffOde : public SequenceModel, public BatchedSequenceModel {
 
   // Builds (kF32) or drops (kF64) the frozen f32 serving snapshot; runs
   // after Module::Freeze has rounded the parameters through float, so the
-  // snapshot casts are exact (diffode_f32.cc).
+  // snapshot casts are exact (diffode_batched.cc).
   void OnFrozen(Precision precision) override;
 
   // Adds a DHS consistency / sparsity term to this thread's aux loss.
@@ -151,10 +174,8 @@ class DiffOde : public SequenceModel, public BatchedSequenceModel {
   Tensor hippo_a_t_;  // Aᵀ, cached so Dynamics never re-transposes
   Tensor hippo_b_t_;  // 1 x d_c (Bᵀ)
 
-  // Set by Freeze(Precision::kF32); presence routes the batched forwards to
-  // the f32 engine. The engine (a friend so it can replay the private
-  // context/initial-state builds) lives in diffode_f32.cc.
-  friend struct DiffOdeF32Engine;
+  // Set by Freeze(Precision::kF32); presence runs the batched forwards at
+  // float.
   std::shared_ptr<ServingF32> serving_f32_;
 };
 

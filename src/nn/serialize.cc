@@ -71,6 +71,9 @@ bool LoadParams(std::vector<ag::Var>* params, const std::string& path) {
     if (std::fread(t.data(), sizeof(Scalar), n, f.get()) != n) return false;
     staged.push_back(std::move(t));
   }
+  // The header describes the whole file: anything after the last tensor
+  // means this is not the checkpoint it claims to be.
+  if (std::fgetc(f.get()) != EOF || std::ferror(f.get())) return false;
   for (std::size_t i = 0; i < params->size(); ++i)
     (*params)[i].mutable_value() = std::move(staged[i]);
   return true;

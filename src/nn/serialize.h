@@ -15,8 +15,8 @@ namespace diffode::nn {
 // Returns false on I/O failure.
 bool SaveParams(const std::vector<ag::Var>& params, const std::string& path);
 
-// Returns false on I/O failure or architecture mismatch; on mismatch the
-// parameters are left untouched.
+// Returns false on I/O failure, architecture mismatch or bytes after the
+// last tensor; on mismatch the parameters are left untouched.
 bool LoadParams(std::vector<ag::Var>* params, const std::string& path);
 
 }  // namespace diffode::nn

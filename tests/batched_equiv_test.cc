@@ -267,6 +267,35 @@ TEST(BatchedEquivTest, DiffOdeVariantsMatchPerSequence) {
     CheckModel(&model, 1, seed += 17, true);
     CheckModel(&model, 3, seed += 17, true);
   }
+  // The Euler and RK4 stage structures of the lockstep integrator: f64 under
+  // the same contract as above, and the f32 serving tier (mixed-precision
+  // stage combines) finite, well-shaped and thread-count invariant.
+  for (ode::DiffMethod method :
+       {ode::DiffMethod::kEuler, ode::DiffMethod::kRk4}) {
+    SCOPED_TRACE(method == ode::DiffMethod::kEuler ? "euler" : "rk4");
+    core::DiffOde model(SmallConfig());
+    model.set_diff_method(method);
+    CheckModel(&model, 1, seed += 17, true);
+    CheckModel(&model, 3, seed += 17, true);
+
+    core::DiffOde f32_model(SmallConfig());
+    f32_model.set_diff_method(method);
+    f32_model.Freeze(Precision::kF32);
+    const std::vector<data::IrregularSeries> series =
+        MakeBatchSeries(3, seed += 17);
+    std::vector<const data::IrregularSeries*> ptrs;
+    for (const auto& s : series) ptrs.push_back(&s);
+    const data::SequenceBatch batch = data::MakeSequenceBatch(ptrs);
+    Tensor logits[2];
+    for (int i = 0; i < 2; ++i) {
+      ThreadCountGuard threads(i == 0 ? 1 : 4);
+      logits[i] = f32_model.ClassifyLogitsBatched(batch);
+    }
+    ASSERT_EQ(logits[0].rows(), 3);
+    ASSERT_EQ(logits[0].cols(), SmallConfig().num_classes);
+    EXPECT_TRUE(logits[0].AllFinite());
+    ExpectBitwiseEqual(logits[0], logits[1], "f32 logits, 1 vs 4 threads");
+  }
 }
 
 TEST(BatchedEquivTest, OdeRnnMatchesPerSequence) {

@@ -1,4 +1,4 @@
-// The f32 serving tier (Freeze(Precision::kF32) + diffode_f32.cc) vs the
+// The f32 serving tier (Freeze(Precision::kF32), diffode_batched.cc) vs the
 // f64 engine, across the DIFFODE variant zoo. Both models serve the SAME
 // f32-representable checkpoint (Freeze(kF32) rounds the parameters in
 // place before the snapshot, and the rounded weights are copied into the

@@ -202,6 +202,34 @@ TEST(SerializeRoundtripTest, LoadRejectsCorruptRankField) {
   std::remove(path.c_str());
 }
 
+// A checkpoint with anything after its last tensor is not the file its
+// header describes: the load fails and leaves the model as it was.
+TEST(SerializeRoundtripTest, LoadRejectsTrailingBytes) {
+  core::DiffOde saved(TinyConfig());
+  const std::string path = CheckpointPath("diffode_trailing.ckpt");
+  ASSERT_TRUE(nn::SaveParams(saved.Params(), path));
+  {
+    core::DiffOde probe(TinyConfig());
+    auto probe_params = probe.Params();
+    ASSERT_TRUE(nn::LoadParams(&probe_params, path));
+  }
+  std::FILE* f = std::fopen(path.c_str(), "ab");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fputc(0, f), 0);
+  std::fclose(f);
+
+  core::DiffOdeConfig other = TinyConfig();
+  other.seed += 1;  // weights that differ from the saved ones
+  core::DiffOde model(other);
+  auto params = model.Params();
+  std::vector<Tensor> before;
+  for (const auto& p : params) before.push_back(p.value());
+  EXPECT_FALSE(nn::LoadParams(&params, path));
+  for (std::size_t i = 0; i < params.size(); ++i)
+    ExpectBitwiseEqual(params[i].value(), before[i], "untouched param");
+  std::remove(path.c_str());
+}
+
 TEST(SerializeRoundtripTest, FrozenForwardBuildsNoTrainableGraph) {
   core::DiffOde model(TinyConfig());
   model.Freeze();
