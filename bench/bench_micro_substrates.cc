@@ -251,11 +251,12 @@ void BM_TensorAllocPooled(benchmark::State& state) {
 BENCHMARK(BM_TensorAllocPooled)->Arg(1 << 8)->Arg(1 << 14);
 
 // ---- Kernel ISA sweep ------------------------------------------------------
-// Scalar vs AVX2 backend on the GEMM shapes the model actually runs (Table V
-// workloads): GRU gate projections, MLP heads, attention score/backward
-// products, plus the vectorized transcendental maps. Arg 0 picks the ISA
-// (0 = scalar, 1 = avx2); avx2 rows are skipped on hosts without AVX2+FMA.
-// The scalar/avx2 row pairs give the speedups recorded in BENCH_PR3.json.
+// Scalar vs AVX2 vs AVX-512 backend on the GEMM shapes the model actually
+// runs (Table V workloads): GRU gate projections, MLP heads, attention
+// score/backward products, plus the vectorized transcendental maps. Arg 0
+// picks the ISA (0 = scalar, 1 = avx2, 2 = avx512); rows for an ISA the host
+// lacks are skipped. The scalar/avx2 row pairs give the speedups recorded in
+// BENCH_PR3.json.
 
 simd::Isa IsaArg(benchmark::State& state) {
   switch (state.range(0)) {
@@ -395,11 +396,10 @@ BENCHMARK(BM_MapExpIsa)
 // a full mask vs a half-empty one (the mask skips the copy, so a sparse wave
 // should be cheaper), and the SelectRows/ScatterRows gather-scatter pair at
 // serving batch shapes (rows = execution batch, cols = packed state dim).
-void BM_MaskedRowUpdateIsa(benchmark::State& state) {
-  BenchIsaScope isa(state);
-  if (!isa.ok) return;
-  const Index rows = state.range(1), cols = state.range(2);
-  const bool full = state.range(3) != 0;
+// These are one memcpy per row on every ISA, so they take no ISA argument.
+void BM_MaskedRowUpdate(benchmark::State& state) {
+  const Index rows = state.range(0), cols = state.range(1);
+  const bool full = state.range(2) != 0;
   Rng rng(25);
   Tensor src = rng.NormalTensor(Shape{rows, cols});
   Tensor dst(Shape{rows, cols});
@@ -411,22 +411,14 @@ void BM_MaskedRowUpdateIsa(benchmark::State& state) {
     benchmark::DoNotOptimize(dst);
   }
 }
-BENCHMARK(BM_MaskedRowUpdateIsa)
-    ->ArgNames({"isa", "rows", "cols", "full"})
-    ->Args({0, 32, 48, 1})     // B=32 serving batch, packed DIFFODE state
-    ->Args({1, 32, 48, 1})
-    ->Args({2, 32, 48, 1})
-    ->Args({0, 32, 48, 0})     // half the rows masked off
-    ->Args({1, 32, 48, 0})
-    ->Args({2, 32, 48, 0})
-    ->Args({0, 256, 128, 1})   // wide reference point
-    ->Args({1, 256, 128, 1})
-    ->Args({2, 256, 128, 1});
+BENCHMARK(BM_MaskedRowUpdate)
+    ->ArgNames({"rows", "cols", "full"})
+    ->Args({32, 48, 1})     // B=32 serving batch, packed DIFFODE state
+    ->Args({32, 48, 0})     // half the rows masked off
+    ->Args({256, 128, 1});  // wide reference point
 
-void BM_SelectScatterRowsIsa(benchmark::State& state) {
-  BenchIsaScope isa(state);
-  if (!isa.ok) return;
-  const Index rows = state.range(1), cols = state.range(2);
+void BM_SelectScatterRows(benchmark::State& state) {
+  const Index rows = state.range(0), cols = state.range(1);
   Rng rng(26);
   Tensor pool = rng.NormalTensor(Shape{rows * 2, cols});
   Tensor packed(Shape{rows, cols});
@@ -438,14 +430,10 @@ void BM_SelectScatterRowsIsa(benchmark::State& state) {
     benchmark::DoNotOptimize(pool);
   }
 }
-BENCHMARK(BM_SelectScatterRowsIsa)
-    ->ArgNames({"isa", "rows", "cols"})
-    ->Args({0, 32, 48})
-    ->Args({1, 32, 48})
-    ->Args({2, 32, 48})
-    ->Args({0, 256, 128})
-    ->Args({1, 256, 128})
-    ->Args({2, 256, 128});
+BENCHMARK(BM_SelectScatterRows)
+    ->ArgNames({"rows", "cols"})
+    ->Args({32, 48})
+    ->Args({256, 128});
 
 void BM_DhsDerivative(benchmark::State& state) {
   const Index n = state.range(0);

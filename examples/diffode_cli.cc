@@ -179,7 +179,8 @@ int RunTrain(const std::map<std::string, std::string>& flags) {
   auto params = model->Params();
   const std::string load = FlagOr(flags, "load", "");
   if (!load.empty() && !nn::LoadParams(&params, load)) {
-    std::fprintf(stderr, "cannot load weights from %s\n", load.c_str());
+    std::fprintf(stderr, "load failed: cannot load weights from %s\n",
+                 load.c_str());
     return 1;
   }
   std::printf("model %s: %lld parameters\n", model->name().c_str(),
@@ -258,7 +259,8 @@ int RunPredict(const std::map<std::string, std::string>& flags) {
   auto params = model->Params();
   if (!nn::LoadParams(&params, load)) {
     std::fprintf(stderr,
-                 "cannot load weights from %s (architecture mismatch?)\n",
+                 "load failed: cannot load weights from %s (missing file, "
+                 "architecture mismatch or non-finite weight)\n",
                  load.c_str());
     return 1;
   }

@@ -10,8 +10,8 @@
 # The determinism contract (docs/performance.md) makes DIFFODE_NUM_THREADS=1
 # and =4 produce bitwise-identical results, so running both configurations is
 # a regression gate, not a flake source. The same holds per kernel ISA:
-# DIFFODE_KERNEL_ISA=scalar must pass the identical suite the dispatched
-# (AVX2 where available) build passes.
+# DIFFODE_KERNEL_ISA=scalar and =avx2 must pass the identical suite the
+# dispatched (widest supported ISA) build passes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -85,18 +85,12 @@ echo "== tier-1: f32 serving tier, DIFFODE_KERNEL_ISA=scalar =="
 (cd build && DIFFODE_KERNEL_ISA=scalar ctest --output-on-failure \
   -R 'precision_test|serialize_roundtrip_test|kernels_isa_test')
 
-echo "== tier-1: f32 serving tier, DIFFODE_KERNEL_ISA=avx2 =="
-# Same suite pinned to the AVX2 f32 backend (the dispatched default on x86;
-# resolves to scalar with a warning elsewhere, so the leg is portable).
-(cd build && DIFFODE_KERNEL_ISA=avx2 ctest --output-on-failure \
-  -R 'precision_test|serialize_roundtrip_test|kernels_isa_test')
-
-echo "== tier-1: f32 serving tier + kernel matrix, DIFFODE_KERNEL_ISA=avx512 =="
-# The AVX-512 backend is opt-in (auto-resolution caps at AVX2). On hosts
-# without AVX-512 F+DQ the dispatcher warns and falls back, and the
-# ISA-matrix tests CPUID-skip their avx512 legs, so this runs everywhere.
-(cd build && DIFFODE_KERNEL_ISA=avx512 ctest --output-on-failure \
-  -R 'precision_test|serialize_roundtrip_test|kernels_isa_test')
+echo "== tier-1: ctest, DIFFODE_KERNEL_ISA=avx2 =="
+# The full suite pinned to the 256-bit instantiation of the x86 kernels.
+# On AVX-512 hosts the default legs above run the 512-bit one, so this leg
+# is what keeps the AVX2 build covered there; without AVX2 the dispatcher
+# warns and falls back, so the leg is portable.
+(cd build && DIFFODE_KERNEL_ISA=avx2 ctest --output-on-failure -j)
 
 echo "== benchmark self-tests (perfbench) =="
 # Builds perfbench into .bench_build/ and runs each workload briefly: checks
@@ -154,17 +148,20 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
 fi
 
 if [[ "${SKIP_UBSAN:-0}" != "1" ]]; then
-  # The AVX2 backend leans on pointer arithmetic over raw panels and masked
+  # The x86 kernels lean on pointer arithmetic over raw panels and masked
   # tail loads; UBSan (non-recovering) is the gate that no kernel indexes
   # out of its contractual range or hits signed overflow on the fixed-grid
-  # partition math. Runs on both ISAs so the dispatcher and the scalar
-  # fallback see identical coverage.
+  # partition math. Runs on the dispatched ISA, the 256-bit instantiation
+  # and the scalar fallback, so each sees identical coverage.
   echo "== ubsan: configure + build (-DDIFFODE_SANITIZE=undefined) =="
   cmake -B build-ubsan -S . -DDIFFODE_SANITIZE=undefined > /dev/null
   cmake --build build-ubsan -j > /dev/null
 
   echo "== ubsan: full suite (dispatched ISA) =="
   (cd build-ubsan && ctest --output-on-failure -j)
+
+  echo "== ubsan: full suite, DIFFODE_KERNEL_ISA=avx2 =="
+  (cd build-ubsan && DIFFODE_KERNEL_ISA=avx2 ctest --output-on-failure -j)
 
   echo "== ubsan: full suite, DIFFODE_KERNEL_ISA=scalar =="
   (cd build-ubsan && DIFFODE_KERNEL_ISA=scalar ctest --output-on-failure -j)

@@ -14,13 +14,13 @@
 // and the result is bitwise identical (tests/batched_equiv_test.cc).
 //
 // f32 precision contract: the step timelines are exactly the f64 ones
-// (BuildBatchPlans and the stage times stay f64), the DHS factorization (the
-// ridge Gram inverse behind (Zᵀ)†, the projector sums) is still built in f64
-// by BuildContexts from the f32 latents widened once, and the carried ODE
-// state stays f64 (ode::LockstepIntegrate). Everything else per step —
-// encoder GEMMs, the p/z recoveries, phi / f_r / w_r / f_out — runs in float
-// through the same kernel entry points (8 AVX2 lanes instead of 4); the
-// zoo-level agreement bound lives in tests/precision_test.cc.
+// (BuildBatchPlans and the stage times stay f64), the encoder and the DHS
+// factorization built from its latents (the ridge Gram inverse behind
+// (Zᵀ)†, the projector sums) run in f64 once per sequence, and the carried
+// ODE state stays f64 (ode::LockstepIntegrate). Everything per step — the
+// p/z recoveries, phi / f_r / w_r / f_out — runs in float through the same
+// kernel entry points (twice the lanes per vector); the zoo-level agreement
+// bound lives in tests/precision_test.cc.
 //
 // The engine is written once. The dtypes differ at two seams only:
 //   - applying a layer: the f64 engine runs the nn:: modules, the f32 engine
@@ -29,7 +29,6 @@
 //     bit at f64, fused allocation-free loops at f32 (RowRecovery).
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -47,10 +46,9 @@ namespace diffode::core {
 // Module::Freeze has rounded every parameter through float, so each Cast
 // here is exact and a save → load → Freeze(kF32) round-trip rebuilds the
 // snapshot bit-identically (tests/serialize_roundtrip_test.cc). Members
-// mirror ModuleLayers below, name for name.
+// mirror ModuleLayers below, name for name, except the encoder, which runs
+// in f64 at either dtype (EncodeBatched).
 struct ServingF32 {
-  std::optional<nn::FrozenGru<float>> gru;
-  std::optional<nn::FrozenMlp<float>> mlp_encoder;
   nn::FrozenMlp<float> phi;
   nn::FrozenMlp<float> f_r;
   nn::FrozenLinear<float> w_r;
@@ -82,9 +80,9 @@ template <typename M, typename... X>
 Tensor Apply(const M& module, const Tensor& x, const X&... more) {
   return module.Forward(ag::Constant(x), ag::Constant(more)...).value();
 }
-template <typename M, typename... X>
-Tensor32 Apply(const M& layer, const Tensor32& x, const X&... more) {
-  return layer.Forward(x, more...);
+template <typename M>
+Tensor32 Apply(const M& layer, const Tensor32& x) {
+  return layer.Forward(x);
 }
 
 // An f64 tensor at dtype T (forwarded at f64, so an rvalue moves), and back.
@@ -377,10 +375,6 @@ void DiffOde::OnFrozen(Precision precision) {
     return;
   }
   auto snap = std::make_shared<ServingF32>();
-  if (gru_encoder_)
-    snap->gru = nn::FrozenGru<float>::FromModule(*gru_encoder_);
-  else
-    snap->mlp_encoder = nn::FrozenMlp<float>::FromModule(*mlp_encoder_);
   snap->phi = nn::FrozenMlp<float>::FromModule(*phi_);
   snap->f_r = nn::FrozenMlp<float>::FromModule(*f_r_);
   snap->w_r = nn::FrozenLinear<float>::FromModule(*w_r_);
@@ -405,49 +399,50 @@ decltype(auto) DiffOde::Layers() const {
 template <typename T>
 std::vector<DiffOde::BatchedEncoded<T>> DiffOde::EncodeBatched(
     const data::SequenceBatch& batch) const {
-  const auto& net = Layers<T>();
+  // The encoder runs in f64 at either T: its latents Z feed the ridge Gram
+  // inverse behind (Zᵀ)†, which amplifies any rounding of Z by the Gram's
+  // condition number — f32 latents put trained checkpoints' worst rows
+  // tens of percent off the f64 logits. One encoder pass per sequence is
+  // cheap next to the per-step work that does run at T.
+  const auto& net = Layers<Scalar>();
   const Index b = batch.batch;
   const Index d = config_.latent_dim;
   DIFFODE_CHECK_EQ(batch.features, config_.input_dim);
-  // Encoder inputs come from the shared f64 featurizer; the f32 engine
-  // rounds them to float once per row.
   std::vector<data::EncoderInputs> inputs;
-  std::vector<TensorT<T>> in_t(static_cast<std::size_t>(b));
   inputs.reserve(static_cast<std::size_t>(b));
   Index max_n = 0;
   for (Index r = 0; r < b; ++r) {
     const data::IrregularSeries& s = *batch.series[static_cast<std::size_t>(r)];
     DIFFODE_CHECK_GE(s.length(), 2);
     inputs.push_back(data::BuildEncoderInputs(s, kSpan));
-    in_t[static_cast<std::size_t>(r)] =
-        AsDtype<T>(std::move(inputs.back().inputs));
     max_n = std::max(max_n, s.length());
   }
-  std::vector<TensorT<T>> z_rows(static_cast<std::size_t>(b));
+  std::vector<Tensor> z_rows(static_cast<std::size_t>(b));
   if (gru_encoder_) {
     // The GRU recurrence is indexed by observation number, not time, so all
     // rows advance one observation per wave: gather the still-active rows,
     // run one batched GRU step (GEMM shape m = E), scatter back.
     for (Index r = 0; r < b; ++r)
-      z_rows[static_cast<std::size_t>(r)] = TensorT<T>::Uninit(
+      z_rows[static_cast<std::size_t>(r)] = Tensor::Uninit(
           Shape{batch.lengths[static_cast<std::size_t>(r)], d});
-    const Index enc_in = in_t.front().cols();
-    TensorT<T> h_all(Shape{b, d});  // zeros, as GruCell::InitialState per row
+    const Index enc_in = inputs.front().inputs.cols();
+    Tensor h_all(Shape{b, d});  // zeros, as GruCell::InitialState per row
     std::vector<Index> active;
     for (Index i = 0; i < max_n; ++i) {
       active.clear();
       for (Index r = 0; r < b; ++r)
         if (i < batch.lengths[static_cast<std::size_t>(r)]) active.push_back(r);
       const Index e = static_cast<Index>(active.size());
-      TensorT<T> x_step = TensorT<T>::Uninit(Shape{e, enc_in});
+      Tensor x_step = Tensor::Uninit(Shape{e, enc_in});
       for (Index j = 0; j < e; ++j) {
         const Index r = active[static_cast<std::size_t>(j)];
-        std::copy_n(in_t[static_cast<std::size_t>(r)].data() + i * enc_in,
+        std::copy_n(inputs[static_cast<std::size_t>(r)].inputs.data() +
+                        i * enc_in,
                     enc_in, x_step.data() + j * enc_in);
       }
-      TensorT<T> h_step = TensorT<T>::Uninit(Shape{e, d});
+      Tensor h_step = Tensor::Uninit(Shape{e, d});
       kernels::SelectRows(e, d, active.data(), h_all.data(), h_step.data());
-      const TensorT<T> h_new = Apply(*net.gru, x_step, h_step);
+      const Tensor h_new = Apply(*net.gru, x_step, h_step);
       kernels::ScatterRows(e, d, active.data(), h_new.data(), h_all.data());
       for (Index j = 0; j < e; ++j) {
         const Index r = active[static_cast<std::size_t>(j)];
@@ -458,19 +453,16 @@ std::vector<DiffOde::BatchedEncoded<T>> DiffOde::EncodeBatched(
   } else {
     for (Index r = 0; r < b; ++r)
       z_rows[static_cast<std::size_t>(r)] =
-          Apply(*net.mlp_encoder, in_t[static_cast<std::size_t>(r)]);
+          Apply(*net.mlp_encoder, inputs[static_cast<std::size_t>(r)].inputs);
   }
-  // Context factorization in f64 for both dtypes: BuildContexts runs on the
-  // (widened) latents, then the per-step tensors are taken at T. The
-  // inversion is the numerically delicate part of DHS; keeping it f64 costs
-  // one factorization per sequence, not per step, and is what keeps the f32
-  // logits inside the 1e-4 agreement band.
+  // Context factorization in f64 for both dtypes, then the per-step tensors
+  // are taken at T. The inversion is the numerically delicate part of DHS;
+  // keeping it f64 costs one factorization per sequence, not per step.
   std::vector<BatchedEncoded<T>> encs(static_cast<std::size_t>(b));
   for (Index r = 0; r < b; ++r) {
     data::EncoderInputs& in = inputs[static_cast<std::size_t>(r)];
     Encoded enc;
-    enc.z = ag::Constant(
-        Widen<T>(std::move(z_rows[static_cast<std::size_t>(r)])));
+    enc.z = ag::Constant(std::move(z_rows[static_cast<std::size_t>(r)]));
     BuildContexts(&enc);
     BatchedEncoded<T>& out = encs[static_cast<std::size_t>(r)];
     out.y0 = AsDtype<T>(InitialState(enc).value());

@@ -113,7 +113,8 @@ class DiffOde : public SequenceModel, public BatchedSequenceModel {
   template <typename T>
   decltype(auto) Layers() const;
   // Per-row encodings with the GRU recurrence advanced in lockstep across
-  // the batch; the DHS contexts are factorized in f64 at either T.
+  // the batch; the encoder runs and the DHS contexts are factorized in f64
+  // at either T.
   template <typename T>
   std::vector<BatchedEncoded<T>> EncodeBatched(
       const data::SequenceBatch& batch) const;

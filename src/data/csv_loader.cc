@@ -87,8 +87,11 @@ std::vector<IrregularSeries> LoadCsv(const std::string& path,
       }
     }
     if (has_label) {
+      // A class index: a whole number, non-negative, and small enough that
+      // the cast to Index is defined.
       Scalar l = 0.0;
-      if (!ParseScalar(cells.back(), &l) || !std::isfinite(l))
+      if (!ParseScalar(cells.back(), &l) || !(l >= 0.0 && l < 2147483648.0) ||
+          l != std::floor(l))
         return fail("bad label cell");
       row.label = static_cast<Index>(l);
     }

@@ -4,7 +4,6 @@
 #include <memory>
 #include <vector>
 
-#include "nn/gru.h"
 #include "nn/linear.h"
 #include "nn/mlp.h"
 #include "tensor/kernels.h"
@@ -82,51 +81,6 @@ struct FrozenMlp {
       h = layers[i].Forward(h);
     }
     return h;
-  }
-};
-
-// GRU cell mirror of nn::GruCell::Forward (PyTorch gate convention):
-//   r = sigmoid(xg_r + hg_r), u = sigmoid(xg_u + hg_u),
-//   c = tanh(xg_c + r * hg_c), h' = c + u * (h - c).
-template <typename T>
-struct FrozenGru {
-  Index hidden = 0;
-  FrozenLinear<T> x_gates;  // in x 3H
-  FrozenLinear<T> h_gates;  // H x 3H
-
-  static FrozenGru FromModule(const GruCell& m) {
-    FrozenGru out;
-    out.hidden = m.hidden_size();
-    out.x_gates = FrozenLinear<T>::FromModule(m.x_gates());
-    out.h_gates = FrozenLinear<T>::FromModule(m.h_gates());
-    return out;
-  }
-
-  // x: (b x in), h: (b x H) -> (b x H).
-  TensorT<T> Forward(const TensorT<T>& x, const TensorT<T>& h) const {
-    const Index bsz = x.rows();
-    const Index H = hidden;
-    const TensorT<T> xg = x_gates.Forward(x);  // b x 3H
-    const TensorT<T> hg = h_gates.Forward(h);  // b x 3H
-    TensorT<T> out = TensorT<T>::Uninit(Shape{bsz, H});
-    TensorT<T> gate = TensorT<T>::Uninit(Shape{1, H});
-    for (Index i = 0; i < bsz; ++i) {
-      const T* xr = xg.data() + i * 3 * H;
-      const T* hr = hg.data() + i * 3 * H;
-      const T* hv = h.data() + i * H;
-      T* o = out.data() + i * H;
-      T* g = gate.data();
-      // r, then c's recurrent half r * hg_c staged in `o` so one pass of
-      // tanh/sigmoid kernels per gate keeps the arithmetic order fixed.
-      for (Index j = 0; j < H; ++j) g[j] = xr[j] + hr[j];
-      kernels::MapSigmoid(H, g, g);  // g = r
-      for (Index j = 0; j < H; ++j) o[j] = xr[2 * H + j] + g[j] * hr[2 * H + j];
-      kernels::MapTanh(H, o, o);  // o = c
-      for (Index j = 0; j < H; ++j) g[j] = xr[H + j] + hr[H + j];
-      kernels::MapSigmoid(H, g, g);  // g = u
-      for (Index j = 0; j < H; ++j) o[j] = o[j] + g[j] * (hv[j] - o[j]);
-    }
-    return out;
   }
 };
 

@@ -69,6 +69,9 @@ bool LoadParams(std::vector<ag::Var>* params, const std::string& path) {
     Tensor t(shape);
     const std::size_t n = static_cast<std::size_t>(t.numel());
     if (std::fread(t.data(), sizeof(Scalar), n, f.get()) != n) return false;
+    // A NaN or inf weight is a corrupt checkpoint, not a model: it would
+    // only surface later as a failed solve deep inside a forward pass.
+    if (!t.AllFinite()) return false;
     staged.push_back(std::move(t));
   }
   // The header describes the whole file: anything after the last tensor

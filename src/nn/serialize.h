@@ -15,8 +15,9 @@ namespace diffode::nn {
 // Returns false on I/O failure.
 bool SaveParams(const std::vector<ag::Var>& params, const std::string& path);
 
-// Returns false on I/O failure, architecture mismatch or bytes after the
-// last tensor; on mismatch the parameters are left untouched.
+// Returns false on I/O failure, architecture mismatch, a non-finite value
+// or bytes after the last tensor; on any failure the parameters are left
+// untouched.
 bool LoadParams(std::vector<ag::Var>* params, const std::string& path);
 
 }  // namespace diffode::nn

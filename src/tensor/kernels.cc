@@ -2,14 +2,15 @@
 // about threading: the fixed row-panel grid for GEMMs, the fixed elementwise
 // chunk grid, and the fixed reduction partial grid with chunk-ordered
 // combination. The arithmetic itself lives in the per-ISA backends
-// (kernels_scalar.cc / kernels_avx2.cc / kernels_avx512.cc), reached through
-// a dtype-specific KernelTable selected from simd::ActiveIsa(). Because the
-// grids here never depend on the thread count and backend bodies never
-// depend on partition bounds, output is bitwise reproducible at any pool
-// size within a given (ISA, dtype) pair.
+// (kernels_scalar.cc, and kernels_x86.h at 256 and 512 bits), reached
+// through a dtype-specific KernelTable selected from simd::ActiveIsa().
+// Because the grids here never depend on the thread count and backend
+// bodies never depend on partition bounds, output is bitwise reproducible
+// at any pool size within a given (ISA, dtype) pair.
 
 #include "tensor/kernels.h"
 
+#include <cstring>
 #include <type_traits>
 
 #include "tensor/kernels_isa.h"
@@ -80,6 +81,15 @@ void RunMap(MapRangeFn<T> range, Index n, const T* x, T* out) {
     return;
   }
   range(n, x, out);
+}
+
+// Row movement is pure copying, so it needs no backend: one memcpy per row
+// carries the bits unchanged on every ISA. A zero-width row may sit on null
+// storage, which memcpy must not be handed.
+template <typename T>
+inline void CopyRow(Index cols, const T* src, T* dst) {
+  if (cols > 0)
+    std::memcpy(dst, src, static_cast<std::size_t>(cols) * sizeof(T));
 }
 
 }  // namespace
@@ -185,19 +195,22 @@ void MapExp(Index n, const T* x, T* out) {
 template <typename T>
 void MaskedRowUpdate(Index rows, Index cols, const unsigned char* mask,
                      const T* src, T* dst) {
-  Table<T>()->masked_row_update(rows, cols, mask, src, dst);
+  for (Index r = 0; r < rows; ++r)
+    if (mask[r]) CopyRow(cols, src + r * cols, dst + r * cols);
 }
 
 template <typename T>
 void SelectRows(Index count, Index cols, const Index* rows, const T* src,
                 T* dst) {
-  Table<T>()->select_rows(count, cols, rows, src, dst);
+  for (Index i = 0; i < count; ++i)
+    CopyRow(cols, src + rows[i] * cols, dst + i * cols);
 }
 
 template <typename T>
 void ScatterRows(Index count, Index cols, const Index* rows, const T* src,
                  T* dst) {
-  Table<T>()->scatter_rows(count, cols, rows, src, dst);
+  for (Index i = 0; i < count; ++i)
+    CopyRow(cols, src + i * cols, dst + rows[i] * cols);
 }
 
 // Explicit instantiations: the two supported kernel dtypes.

@@ -22,12 +22,12 @@ namespace diffode::kernels {
 // pre-template API. Definitions live in kernels.cc with explicit
 // instantiations for double and float.
 //
-// ISA dispatch: every kernel routes through one of three backends — portable
-// scalar C++ (kernels_scalar.cc), AVX2+FMA microkernels (kernels_avx2.cc),
-// or AVX-512 microkernels (kernels_avx512.cc) — selected once at startup by
-// CPUID feature detection, overridable with
-// DIFFODE_KERNEL_ISA=scalar|avx2|avx512 (see tensor/simd.h). Auto-dispatch
-// caps at AVX2; the AVX-512 tier is opt-in via the override or SetActiveIsa.
+// ISA dispatch: every arithmetic kernel routes through one of three
+// backends — portable scalar C++ (kernels_scalar.cc) or the x86 SIMD
+// templates of kernels_x86.h at 256 bits (AVX2+FMA, kernels_avx2.cc) or 512
+// bits (AVX-512, kernels_avx512.cc) — selected once at startup: the widest
+// ISA the CPU reports, overridable with DIFFODE_KERNEL_ISA=scalar|avx2|avx512
+// (see tensor/simd.h). The row copies below need no backend.
 //
 // Determinism contract (per ISA, per dtype): for a fixed input, a fixed ISA,
 // and a fixed dtype, every kernel produces bitwise identical output at any
@@ -87,8 +87,8 @@ template <typename T>
 T Dot(Index n, const T* x, const T* y);
 
 // ISA-dispatched transcendental maps (out may alias x). These are the hot
-// functions of the GRU encoder, MLP heads, and softmax/Hoyer pipeline; the
-// AVX2 backend evaluates them 4 double (8 float) lanes at a time.
+// functions of the GRU encoder, MLP heads, and softmax/Hoyer pipeline; both
+// x86 backends evaluate them 4 double (8 float) lanes at a time.
 template <typename T>
 void MapTanh(Index n, const T* x, T* out);
 template <typename T>
@@ -97,9 +97,9 @@ template <typename T>
 void MapExp(Index n, const T* x, T* out);
 
 // Batched-row movement for the lockstep execution engine (docs/performance.md
-// "Execution batching"). All three are pure row copies — no arithmetic — so
-// every backend produces bitwise-identical results; the SIMD backends only
-// widen the moves. Serial: a serving batch is at most a few hundred rows.
+// "Execution batching"). All three are pure row copies — one memcpy per row,
+// no arithmetic — so they carry bits unchanged on every ISA. Serial: a
+// serving batch is at most a few hundred rows.
 //
 // dst[r] = src[r] for every row whose mask byte is non-zero (a masked jump
 // costs a row copy, not a branch per element); masked-off rows untouched.

@@ -4,8 +4,9 @@
 #include "tensor/shape.h"
 
 // Internal contract between the kernel dispatch layer (kernels.cc) and the
-// per-ISA backends (kernels_scalar.cc, kernels_avx2.cc, kernels_avx512.cc).
-// Not part of the public kernel API.
+// per-ISA backends: kernels_scalar.cc, and the x86 templates of
+// kernels_x86.h instantiated at 256 bits (kernels_avx2.cc) and 512 bits
+// (kernels_avx512.cc). Not part of the public kernel API.
 //
 // The split of responsibilities keeps the determinism contract in one place:
 // kernels.cc owns ALL threading — the fixed chunk grids of ParallelFor /
@@ -57,17 +58,6 @@ struct KernelTable {
   void (*tanh)(Index n, const T* x, T* out);
   void (*sigmoid)(Index n, const T* x, T* out);
   void (*exp)(Index n, const T* x, T* out);
-
-  // Batched-row movement (serial; pure copies, so bitwise on any backend).
-  // dst[r] = src[r] for rows whose mask byte is non-zero; others untouched.
-  void (*masked_row_update)(Index rows, Index cols, const unsigned char* mask,
-                            const T* src, T* dst);
-  // dst[i] = src[rows[i]] — gather `count` rows into a packed block.
-  void (*select_rows)(Index count, Index cols, const Index* rows, const T* src,
-                      T* dst);
-  // dst[rows[i]] = src[i] — scatter a packed block back.
-  void (*scatter_rows)(Index count, Index cols, const Index* rows,
-                       const T* src, T* dst);
 };
 
 // Backend tables are constant-initialized globals (function addresses are

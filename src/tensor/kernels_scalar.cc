@@ -2,8 +2,8 @@
 // loops, templated on the element type but otherwise unchanged: cache-tiled
 // GEMM panels with a 4-row register kernel, plus straightforward range ops.
 // Kept free of target-specific flags so the scalar ISA is buildable and
-// bit-stable everywhere; the AVX2/AVX-512 backends in kernels_avx2.cc /
-// kernels_avx512.cc are the ones allowed to assume vector hardware.
+// bit-stable everywhere; the x86 backends (kernels_x86.h) are the ones
+// allowed to assume vector hardware.
 
 #include <algorithm>
 #include <cmath>
@@ -182,39 +182,6 @@ void ExpRange(Index n, const T* x, T* out) {
   for (Index i = 0; i < n; ++i) out[i] = std::exp(x[i]);
 }
 
-// Batched-row movement. Pure copies (no arithmetic), so every backend is
-// bitwise identical by construction; the SIMD versions only widen the moves.
-template <typename T>
-void MaskedRowUpdateRows(Index rows, Index cols, const unsigned char* mask,
-                         const T* src, T* dst) {
-  for (Index r = 0; r < rows; ++r) {
-    if (!mask[r]) continue;
-    const T* s = src + r * cols;
-    T* d = dst + r * cols;
-    for (Index j = 0; j < cols; ++j) d[j] = s[j];
-  }
-}
-
-template <typename T>
-void SelectRowsRange(Index count, Index cols, const Index* rows, const T* src,
-                     T* dst) {
-  for (Index i = 0; i < count; ++i) {
-    const T* s = src + rows[i] * cols;
-    T* d = dst + i * cols;
-    for (Index j = 0; j < cols; ++j) d[j] = s[j];
-  }
-}
-
-template <typename T>
-void ScatterRowsRange(Index count, Index cols, const Index* rows, const T* src,
-                      T* dst) {
-  for (Index i = 0; i < count; ++i) {
-    const T* s = src + i * cols;
-    T* d = dst + rows[i] * cols;
-    for (Index j = 0; j < cols; ++j) d[j] = s[j];
-  }
-}
-
 template <typename T>
 constexpr KernelTable<T> MakeScalarTable() {
   return KernelTable<T>{
@@ -222,9 +189,7 @@ constexpr KernelTable<T> MakeScalarTable() {
       AxpyRange<T>,      AddScaledRange<T>,
       ScaleRange<T>,     SumRange<T>,    DotRange<T>,
       TanhRange<T>,      SigmoidRange<T>,
-      ExpRange<T>,       MaskedRowUpdateRows<T>,
-      SelectRowsRange<T>,
-      ScatterRowsRange<T>,
+      ExpRange<T>,
   };
 }
 

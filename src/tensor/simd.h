@@ -6,19 +6,16 @@
 namespace diffode::simd {
 
 // Instruction-set backends for the kernel layer (tensor/kernels.h). The
-// scalar backend is portable C++ and always present; kAvx2 is the AVX2+FMA
-// microkernel backend in kernels_avx2.cc and kAvx512 the AVX-512 (F+DQ)
-// backend in kernels_avx512.cc, both compiled only on x86-64.
+// scalar backend is portable C++ and always present; kAvx2 and kAvx512 are
+// the x86 SIMD kernels of kernels_x86.h instantiated at 256 bits (AVX2+FMA)
+// and 512 bits (AVX-512 F+DQ), both compiled only on x86-64.
 //
-// Dispatch is resolved once at startup, overridable with
-// DIFFODE_KERNEL_ISA=scalar|avx2|avx512. Auto-resolution deliberately caps
-// at kAvx2 even on AVX-512 hardware: the default numeric path stays
-// bit-stable across machine generations (and avoids 512-bit frequency
-// licensing on older server parts); the AVX-512 tier is opt-in via the
-// environment override or SetActiveIsa. The determinism contract is per
-// ISA — for a fixed input and a fixed ISA every kernel is bitwise
-// reproducible at any thread count; switching ISA may move results by
-// rounding-level amounts (different accumulation widths / FMA).
+// Dispatch is resolved once at startup: DIFFODE_KERNEL_ISA=scalar|avx2|avx512
+// if set and supported, else the widest ISA this binary and CPU support.
+// The determinism contract is per ISA — for a fixed input and a fixed ISA
+// every kernel is bitwise reproducible at any thread count; switching ISA
+// may move results by rounding-level amounts (different accumulation widths
+// / FMA).
 enum class Isa {
   kScalar = 0,
   kAvx2 = 1,
@@ -31,11 +28,6 @@ const char* IsaName(Isa isa);
 // True if this binary and this CPU can run `isa` (CPUID feature detection).
 bool IsaSupported(Isa isa);
 
-// Best ISA both this binary and this CPU support. May exceed the startup
-// default (see above): BestSupportedIsa() reports hardware truth, the
-// resolver caps auto-dispatch at kAvx2.
-Isa BestSupportedIsa();
-
 namespace detail {
 // Current ISA as an int, or -1 before first resolution. Constant-initialized
 // so the fast path of ActiveIsa() is a single relaxed load with no
@@ -46,10 +38,10 @@ extern std::atomic<int> g_active_isa;
 Isa ResolveActiveIsaSlow();
 }  // namespace detail
 
-// The ISA the kernel layer is currently dispatching to. Resolved once at
-// startup from CPU detection (capped at kAvx2) and the DIFFODE_KERNEL_ISA
-// environment override; an override naming an unsupported ISA falls back
-// with a warning on stderr. Inline: this sits on every kernel dispatch.
+// The ISA the kernel layer is currently dispatching to, resolved once at
+// startup (see above); an override that names no supported ISA falls back
+// to the widest one with a warning on stderr. Inline: this sits on every
+// kernel dispatch.
 inline Isa ActiveIsa() {
   const int v = detail::g_active_isa.load(std::memory_order_relaxed);
   if (v >= 0) return static_cast<Isa>(v);

@@ -370,12 +370,21 @@ TEST(KernelsIsaTest, EnvOverrideAndDispatchStateAreConsistent) {
   // SetActiveIsa must refuse unsupported requests without changing state.
   const simd::Isa active = simd::ActiveIsa();
   EXPECT_TRUE(simd::IsaSupported(active));
-  // Auto-resolution caps at AVX2; only the explicit override (or
-  // SetActiveIsa, exercised below) reaches AVX-512.
+  // Startup resolution is the override when it names a supported ISA, else
+  // the widest supported one.
+  simd::Isa expected = simd::IsaSupported(simd::Isa::kAvx512)
+                           ? simd::Isa::kAvx512
+                       : simd::IsaSupported(simd::Isa::kAvx2)
+                           ? simd::Isa::kAvx2
+                           : simd::Isa::kScalar;
   const char* env = std::getenv("DIFFODE_KERNEL_ISA");
-  if (env == nullptr || std::strcmp(env, "avx512") != 0) {
-    EXPECT_TRUE(active == simd::Isa::kScalar || active == simd::Isa::kAvx2);
+  for (simd::Isa isa :
+       {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kAvx512}) {
+    if (env != nullptr && std::strcmp(env, simd::IsaName(isa)) == 0 &&
+        simd::IsaSupported(isa))
+      expected = isa;
   }
+  EXPECT_EQ(active, expected);
   for (simd::Isa isa :
        {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kAvx512}) {
     if (simd::IsaSupported(isa)) {
@@ -388,19 +397,6 @@ TEST(KernelsIsaTest, EnvOverrideAndDispatchStateAreConsistent) {
     }
   }
   EXPECT_TRUE(simd::SetActiveIsa(active));
-}
-
-TEST(KernelsIsaTest, BestSupportedIsaOrdering) {
-  // BestSupportedIsa reports hardware truth and must be internally
-  // consistent with the IsaSupported predicate.
-  const simd::Isa best = simd::BestSupportedIsa();
-  EXPECT_TRUE(simd::IsaSupported(best));
-  if (simd::IsaSupported(simd::Isa::kAvx512))
-    EXPECT_EQ(best, simd::Isa::kAvx512);
-  else if (simd::IsaSupported(simd::Isa::kAvx2))
-    EXPECT_EQ(best, simd::Isa::kAvx2);
-  else
-    EXPECT_EQ(best, simd::Isa::kScalar);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -148,6 +149,58 @@ TEST(KernelsTest, GemmBitwiseIdenticalAcrossThreadCounts) {
   }
   ASSERT_TRUE(c1.shape() == c4.shape());
   for (Index i = 0; i < c1.numel(); ++i) EXPECT_EQ(c1[i], c4[i]);
+}
+
+// The lockstep engine's row movement: pure copies, so every copied element
+// must match exactly and every row a kernel does not name must stay as it
+// was.
+template <typename T>
+void CheckRowKernels(Index cols) {
+  SCOPED_TRACE(::testing::Message() << "cols=" << cols);
+  const Index rows = 9;
+  std::vector<T> src(static_cast<std::size_t>(rows * cols));
+  std::vector<T> dst(src.size());
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    src[i] = static_cast<T>(i) + T(0.25);
+    dst[i] = -static_cast<T>(i) - T(1);
+  }
+  auto at = [cols](const std::vector<T>& v, Index r, Index j) {
+    return v[static_cast<std::size_t>(r * cols + j)];
+  };
+
+  const std::vector<unsigned char> mask = {1, 0, 0, 1, 1, 0, 1, 0, 1};
+  std::vector<T> updated = dst;
+  MaskedRowUpdate(rows, cols, mask.data(), src.data(), updated.data());
+  for (Index r = 0; r < rows; ++r)
+    for (Index j = 0; j < cols; ++j)
+      EXPECT_EQ(at(updated, r, j), mask[r] ? at(src, r, j) : at(dst, r, j))
+          << "r=" << r << " j=" << j;
+
+  // Gather rows into a packed block, then scatter the block into a copy of
+  // dst: the picked rows come back as src had them, the others untouched.
+  const std::vector<Index> picked = {7, 2, 5, 0};
+  const Index count = static_cast<Index>(picked.size());
+  std::vector<T> packed(static_cast<std::size_t>(count * cols), T(0));
+  SelectRows(count, cols, picked.data(), src.data(), packed.data());
+  for (Index i = 0; i < count; ++i)
+    for (Index j = 0; j < cols; ++j)
+      EXPECT_EQ(at(packed, i, j), at(src, picked[i], j)) << "i=" << i;
+  std::vector<T> back = dst;
+  ScatterRows(count, cols, picked.data(), packed.data(), back.data());
+  for (Index r = 0; r < rows; ++r) {
+    const bool was_picked =
+        std::find(picked.begin(), picked.end(), r) != picked.end();
+    for (Index j = 0; j < cols; ++j)
+      EXPECT_EQ(at(back, r, j), was_picked ? at(src, r, j) : at(dst, r, j))
+          << "r=" << r << " j=" << j;
+  }
+}
+
+TEST(KernelsTest, RowKernelsCopyExactlyAndLeaveOtherRowsUntouched) {
+  for (Index cols : {1, 7, 48, 129}) {
+    CheckRowKernels<double>(cols);  // dtype:ok — f64 instantiation
+    CheckRowKernels<float>(cols);
+  }
 }
 
 TEST(KernelsTest, MatMulGradcheckNonSquare) {

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -225,6 +226,52 @@ TEST(SerializeRoundtripTest, LoadRejectsTrailingBytes) {
   std::vector<Tensor> before;
   for (const auto& p : params) before.push_back(p.value());
   EXPECT_FALSE(nn::LoadParams(&params, path));
+  for (std::size_t i = 0; i < params.size(); ++i)
+    ExpectBitwiseEqual(params[i].value(), before[i], "untouched param");
+  std::remove(path.c_str());
+}
+
+// A NaN or inf weight makes a checkpoint corrupt, wherever it sits: the
+// load fails and leaves the model as it was, instead of handing the value
+// to a forward pass that aborts in a singular solve or prints nan.
+TEST(SerializeRoundtripTest, LoadRejectsNonFiniteWeight) {
+  core::DiffOde saved(TinyConfig());
+  const std::string path = CheckpointPath("diffode_nonfinite.ckpt");
+  const auto saved_params = saved.Params();
+  ASSERT_TRUE(nn::SaveParams(saved_params, path));
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  std::vector<unsigned char> clean;
+  for (int c; (c = std::fgetc(f)) != EOF;)
+    clean.push_back(static_cast<unsigned char>(c));
+  std::fclose(f);
+  // First value: after magic, count, the first rank and its dims. Last
+  // value: the final 8 bytes of the file.
+  const std::size_t first =
+      24 + 8 * static_cast<std::size_t>(saved_params.front().value().rank());
+  const std::size_t last = clean.size() - sizeof(Scalar);
+
+  core::DiffOdeConfig other = TinyConfig();
+  other.seed += 1;  // weights that differ from the saved ones
+  core::DiffOde model(other);
+  auto params = model.Params();
+  std::vector<Tensor> before;
+  for (const auto& p : params) before.push_back(p.value());
+  const Scalar bad_values[] = {std::numeric_limits<Scalar>::infinity(),
+                               -std::numeric_limits<Scalar>::infinity(),
+                               std::numeric_limits<Scalar>::quiet_NaN()};
+  for (const std::size_t offset : {first, last}) {
+    for (const Scalar bad : bad_values) {
+      std::vector<unsigned char> bytes = clean;
+      std::memcpy(bytes.data() + offset, &bad, sizeof(bad));
+      f = std::fopen(path.c_str(), "wb");
+      ASSERT_NE(f, nullptr);
+      ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+      std::fclose(f);
+      EXPECT_FALSE(nn::LoadParams(&params, path))
+          << "offset=" << offset << " value=" << bad;
+    }
+  }
   for (std::size_t i = 0; i < params.size(); ++i)
     ExpectBitwiseEqual(params[i].value(), before[i], "untouched param");
   std::remove(path.c_str());
