@@ -122,28 +122,19 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   cmake -B build-asan -S . -DDIFFODE_SANITIZE=address > /dev/null
   cmake --build build-asan -j > /dev/null
 
-  echo "== asan: NoGradScope eval path =="
-  # Value-only Vars bypass the tape arena entirely; this leg is the gate
-  # that no-grad forwards never read pooled buffers after recycling and
-  # never touch a node that was elided.
-  (cd build-asan && ctest --output-on-failure \
-    -R 'nograd_test|serialize_roundtrip_test')
-
-  echo "== asan: batched lockstep engine =="
-  # The engine packs/scatters rows through raw kernel copies and row views;
-  # this leg is the gate that no packed block or checkpoint row outlives its
-  # buffer.
-  (cd build-asan && ctest --output-on-failure -R 'batched_equiv_test')
-
-  echo "== asan: f32 serving engine =="
-  # At float the engine's per-row recoveries carve a flat p buffer per
-  # (row, head) and reuse one derivative scratch, and at either dtype the
-  # RHS caches its stage tensors across RK stages; this leg is the gate
-  # that no recovery pass indexes outside its slice and no cached stage
-  # buffer is read after the active-row count changed.
-  (cd build-asan && ctest --output-on-failure -R 'precision_test')
-
   echo "== asan: full suite =="
+  # Four tests in the suite gate the paths that bypass ordinary ownership:
+  #   - nograd_test, serialize_roundtrip_test: value-only Vars skip the tape
+  #     arena, so no-grad forwards must never read a pooled buffer after
+  #     recycling or touch a node that was elided;
+  #   - batched_equiv_test: the lockstep engine packs and scatters rows
+  #     through raw kernel copies and row views, so no packed block or
+  #     checkpoint row may outlive its buffer;
+  #   - batched_equiv_test (f64) and precision_test (f32): the per-row
+  #     recoveries carve a flat p buffer per (row, head) and reuse one
+  #     scratch, and the RHS caches its stage tensors across RK stages, so
+  #     no recovery may index outside its slice and no cached stage buffer
+  #     may be read after the active-row count changed.
   (cd build-asan && ctest --output-on-failure -j)
 fi
 

@@ -6,12 +6,12 @@
 // exact per-sequence integration timeline (same (t, h) step pairs, built by
 // ode::AppendSegment with IntegrateVar's stop rule), and every per-sequence
 // quantity — the DHS recoveries, the HiPPO tail, the readouts — is computed
-// by the same Tensor/kernel calls the autograd op forwards use, decomposed
-// into the same rounding steps. The only arithmetic that differs at B > 1
-// is the GEMM m-shape of the shared MLPs (phi, f_r, w_r, the GRU encoder,
-// f_out_cls), whose backends guarantee c[i][j] depends only on
-// (i, j, m, k, n); at B = 1 every call collapses to the per-sequence shape
-// and the result is bitwise identical (tests/batched_equiv_test.cc).
+// by the same kernel calls the autograd op forwards use, decomposed into the
+// same rounding steps. The only arithmetic that differs at B > 1 is the GEMM
+// m-shape of the shared MLPs (phi, f_r, w_r, the GRU encoder, f_out_cls),
+// whose backends compute row i from row i of A, B, k and n alone; at B = 1
+// every call collapses to the per-sequence shape and the result is bitwise
+// identical (tests/batched_equiv_test.cc).
 //
 // f32 precision contract: the step timelines are exactly the f64 ones
 // (BuildBatchPlans and the stage times stay f64), the encoder and the DHS
@@ -22,11 +22,10 @@
 // kernel entry points (twice the lanes per vector); the zoo-level agreement
 // bound lives in tests/precision_test.cc.
 //
-// The engine is written once. The dtypes differ at two seams only:
-//   - applying a layer: the f64 engine runs the nn:: modules, the f32 engine
-//     the frozen ServingF32 snapshot (Layers / Apply);
-//   - the per-row DHS recoveries: tensor chains that replay dhs.cc bit for
-//     bit at f64, fused allocation-free loops at f32 (RowRecovery).
+// The engine is written once, and the dtypes differ at one seam: applying a
+// layer, where the f64 engine runs the nn:: modules and the f32 engine the
+// frozen ServingF32 snapshot (Layers / Apply). The per-row DHS recoveries
+// are one chain at either dtype (RowRecovery).
 #include <algorithm>
 #include <cmath>
 #include <type_traits>
@@ -97,243 +96,109 @@ Tensor Widen(TensorT<T> x) {
   else return x.template Cast<Scalar>();
 }
 
-// Plain-tensor mirrors of dhs.cc's RecoverPVar / RecoverZVar /
-// DhsDerivative value chains. Each statement reproduces one autograd op's
-// forward (same Tensor method, same operand order, same scalar
-// decomposition — e.g. the reciprocal multiply of DivByScalarVar), so the
-// recovered values are bitwise the per-sequence ones. Multiply-then-add
-// pairs stay in separate statements through stored temporaries so the
-// compiler cannot contract them into FMAs the per-sequence ops don't use.
-Tensor RecoverPRow(const DhsContext& ctx, const Tensor& s_h,
-                   sparsity::PtStrategy strategy) {
-  Tensor b = s_h.MatMulTransposed(ctx.zt_pinv.value());  // 1 x n
-  switch (strategy) {
-    case sparsity::PtStrategy::kMinNorm:
-      return b;
-    case sparsity::PtStrategy::kAdaH: {
-      // EncodeBatched runs the same CacheAdaHCorrection as Encode, so the
-      // correction is always present here.
-      DIFFODE_CHECK(ctx.ada_corr.defined());
-      b += ctx.ada_corr.value();
-      return b;
-    }
-    case sparsity::PtStrategy::kExactKkt:
-      [[fallthrough]];
-    case sparsity::PtStrategy::kMaxHoyer: {
-      const Scalar total = ctx.ap_total.value().item();
-      if (std::fabs(total) < 1e-10) return b;
-      const Scalar coeff = (b.Sum() + -1.0) * (1.0 / total);
-      Tensor corr = ctx.ap_rowsum.value() * coeff;
-      b -= corr;
-      return b;
-    }
-  }
-  DIFFODE_CHECK(false);
-  return b;
-}
-
-Tensor RecoverZRow(const DhsContext& ctx, const Tensor& p, const Tensor& h2) {
-  const Scalar pp = p.Dot(p);
-  const Scalar ph = p.Dot(h2);
-  const Scalar c = ph / pp;
-  Tensor a_h = p * c;
-  for (Index j = 0; j < a_h.numel(); ++j) a_h.data()[j] -= 1.0;
-  Tensor z = a_h.MatMul(ctx.zt_pinv.value());
-  z *= std::sqrt(static_cast<Scalar>(ctx.d));
-  return z;
-}
-
-Tensor DerivativeRow(const DhsContext& ctx, const Tensor& w_h,
-                     const Tensor& p) {
-  const Scalar scale = 1.0 / std::sqrt(static_cast<Scalar>(ctx.d));
-  const Tensor& zv = ctx.z.value();
-  Tensor u = w_h.MatMulTransposed(zv);  // 1 x n
-  Tensor up_elem = u * p;
-  Tensor term1 = up_elem.MatMul(zv);  // 1 x d_h
-  const Scalar up = u.Dot(p);
-  Tensor term2 = p.MatMul(zv);
-  term2 *= up;
-  term1 -= term2;
-  term1 *= scale;
-  return term1;
-}
-
-// Float casts of one head's DhsContext: the f64 factorization cast down once
-// per sequence; only the per-step recoveries consume the float copies.
-struct DhsContextF32 {
-  Tensor32 zt_pinv;      // (Zᵀ)†, n x d_h
-  Tensor32 pinv_colsum;  // 1ᵀ (Zᵀ)†, 1 x d_h; column sums, summed in f64
-  Tensor32 ap_rowsum;    // (A_p J)ᵀ, 1 x n
-  Tensor32 ada_corr;     // h A_p, 1 x n; empty unless the adaH strategy
-  Tensor32 z;            // n x d_h
-  float ap_total = 0.0f;
+// The operands the per-step recoveries read from one head's DhsContext, at
+// dtype T: a copy at f64, one rounding of the f64 factorization at f32.
+template <typename T>
+struct RowContext {
+  TensorT<T> zt_pinv;    // (Zᵀ)†, n x d_h
+  TensorT<T> z;          // n x d_h
+  TensorT<T> ap_rowsum;  // (A_p J)ᵀ, 1 x n
+  TensorT<T> ada_corr;   // h A_p, 1 x n; empty unless the adaH strategy
+  T ap_total = T(0);     // J A_p J
 };
 
-DhsContextF32 CastContext(const DhsContext& ctx) {
-  DhsContextF32 out;
-  out.zt_pinv = ctx.zt_pinv.value().Cast<float>();
-  {
-    // Column sums of (Zᵀ)†, accumulated in f64 before the single rounding:
-    // RecoverZRow32 subtracts them instead of materialising the (cp - 1)
-    // vector, saving a scratch pass and a Scale per (row, head, stage).
-    const Tensor& pinv = ctx.zt_pinv.value();
-    const Index n = pinv.rows(), dh = pinv.cols();
-    out.pinv_colsum = Tensor32::Uninit(Shape{1, dh});
-    for (Index j = 0; j < dh; ++j) {
-      Scalar acc = 0.0;
-      for (Index k = 0; k < n; ++k) acc += pinv.at(k, j);
-      out.pinv_colsum.data()[j] = static_cast<float>(acc);
-    }
-  }
-  out.ap_rowsum = ctx.ap_rowsum.value().Cast<float>();
-  if (ctx.ada_corr.defined())
-    out.ada_corr = ctx.ada_corr.value().Cast<float>();
-  out.z = ctx.z.value().Cast<float>();
-  out.ap_total = static_cast<float>(ctx.ap_total.value().item());
+template <typename T>
+RowContext<T> MakeRowContext(const DhsContext& ctx) {
+  RowContext<T> out;
+  out.zt_pinv = AsDtype<T>(ctx.zt_pinv.value());
+  out.z = AsDtype<T>(ctx.z.value());
+  out.ap_rowsum = AsDtype<T>(ctx.ap_rowsum.value());
+  if (ctx.ada_corr.defined()) out.ada_corr = AsDtype<T>(ctx.ada_corr.value());
+  out.ap_total = static_cast<T>(ctx.ap_total.value().item());
   return out;
 }
 
-// Allocation-free float recoveries: the same math as RecoverPRow /
-// RecoverZRow / DerivativeRow, fused into raw loops over caller-provided
-// scratch. Per RK stage the tensor-temporary formulation pays ~8 pool
-// round-trips per (row, head); at f32 serving rates that bookkeeping, not
-// the arithmetic, dominates, so the f32 tier writes p / z / dstate straight
-// into flat buffers instead.
-
-// p = s_h (Zᵀ)† (+ strategy correction), written into p_out[n].
-void RecoverPRow32(const DhsContextF32& ctx, const float* s_h, Index dh,
-                   sparsity::PtStrategy strategy, float* p_out) {
-  const Index n = ctx.zt_pinv.rows();
-  // p (1 x n) = s_h (1 x dh) · pinvᵀ, pinv stored n x dh row-major.
-  kernels::GemmNT(1, dh, n, s_h, ctx.zt_pinv.data(), p_out);
-  switch (strategy) {
-    case sparsity::PtStrategy::kMinNorm:
-      return;
-    case sparsity::PtStrategy::kAdaH:
-      DIFFODE_CHECK_GT(ctx.ada_corr.numel(), 0);
-      kernels::Axpy(n, 1.0f, ctx.ada_corr.data(), p_out);
-      return;
-    case sparsity::PtStrategy::kExactKkt:
-      [[fallthrough]];
-    case sparsity::PtStrategy::kMaxHoyer: {
-      const float total = ctx.ap_total;
-      // Same degenerate-projector guard as the f64 recovery (1e-10 is far
-      // below f32 resolution of a well-conditioned total, so both paths
-      // take the same branch on real contexts).
-      if (std::fabs(total) < 1e-10f) return;
-      const float coeff = (kernels::Sum(n, p_out) - 1.0f) * (1.0f / total);
-      kernels::Axpy(n, -coeff, ctx.ap_rowsum.data(), p_out);
-      return;
-    }
-  }
-  DIFFODE_CHECK(false);
-}
-
-// z_h = sqrt(d) * (c p - 1) (Zᵀ)† with c = <p,h2>/<p,p>, written into
-// z_out[dh]. Expanded as c*sqrt(d)*(p · pinv) - sqrt(d)*colsum(pinv), with
-// the column sums precomputed (in f64) by CastContext — one GEMM, no
-// scratch vector, no trailing Scale.
-void RecoverZRow32(const DhsContextF32& ctx, const float* p, const float* h2,
-                   Index dh, float* z_out) {
-  const Index n = ctx.zt_pinv.rows();
-  const float pp = kernels::Dot(n, p, p);
-  const float ph = kernels::Dot(n, p, h2);
-  const float sq = std::sqrt(static_cast<float>(dh));
-  const float c = ph / pp * sq;
-  kernels::Gemm(1, n, dh, p, ctx.zt_pinv.data(), z_out);
-  const float* cs = ctx.pinv_colsum.data();
-  for (Index j = 0; j < dh; ++j) z_out[j] = c * z_out[j] - sq * cs[j];
-}
-
-// ds = scale * ((u ⊙ p) Z - <u,p> p Z) with u = Z w_h, written into
-// ds_out[dh]; scratch must hold 3*n + 2*dh floats (u ‖ [u⊙p ; p] ‖ C2).
-// The two (1 x n)·(n x dh) products share Z, so they run as ONE m=2 GEMM:
-// same arithmetic per output, half the kernel dispatches, and the panel
-// reuses each Z row for both output rows while it is hot.
-void DerivativeRow32(const DhsContextF32& ctx, const float* w_h,
-                     const float* p, Index dh, float* scratch,
-                     float* ds_out) {
-  const Index n = ctx.z.rows();
-  const float* z = ctx.z.data();  // n x dh, row-major
-  float* u = scratch;
-  float* a2 = scratch + n;  // [u ⊙ p ; p], 2 x n
-  float* c2 = a2 + 2 * n;   // [term1 ; term2], 2 x dh
-  kernels::GemmNT(1, dh, n, w_h, z, u);  // u (1 x n) = w_h · Zᵀ
-  const float up = kernels::Dot(n, u, p);
-  for (Index k = 0; k < n; ++k) a2[k] = u[k] * p[k];
-  std::copy_n(p, n, a2 + n);
-  kernels::Gemm(2, n, dh, a2, z, c2);
-  const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
-  for (Index j = 0; j < dh; ++j)
-    ds_out[j] = scale * (c2[j] - up * c2[dh + j]);
-}
-
-// The per-head context the recoveries read at dtype T.
+// The per-row DHS recoveries: dhs.cc's RecoverPVar / RecoverZVar /
+// DhsDerivative value chains replayed on raw buffers. Each step calls the
+// kernel that the matching autograd op's forward calls, with the same
+// operand order and scalar decomposition (e.g. the reciprocal multiply of
+// DivByScalarVar), so at f64 every recovered value is bitwise the
+// per-sequence one; a multiply and an add never share a statement, so the
+// compiler cannot fuse them into an FMA the per-sequence ops don't use.
+// Each (row, head) slot keeps its p until its derivative pass; the slots
+// sit max_n apart in one flat buffer and one scratch serves every pass, so
+// no (row, head, RK stage) allocates.
 template <typename T>
-using HeadContext =
-    std::conditional_t<std::is_same_v<T, float>, DhsContextF32, DhsContext>;
-
-// The recovery seam: p and z of one (row, head) before phi, its ds after.
-// `slot` = row * heads + head keeps each p until its derivative pass; the
-// buffers are reused across RK stages.
-template <typename T>
-class RowRecovery;
-
-template <>
-class RowRecovery<Scalar> {
+class RowRecovery {
  public:
-  RowRecovery(Index dh, Index /*max_n*/)
-      : s_h_(Tensor::Uninit(Shape{1, dh})),
-        w_h_(Tensor::Uninit(Shape{1, dh})) {}
-  void Resize(Index slots) { p_.resize(static_cast<std::size_t>(slots)); }
-  void PZ(const DhsContext& ctx, const Tensor& h2,
-          sparsity::PtStrategy strategy, Index slot, const Scalar* s_h,
-          Scalar* z_out) {
-    Tensor& p = p_[static_cast<std::size_t>(slot)];
-    std::copy_n(s_h, s_h_.numel(), s_h_.data());
-    p = RecoverPRow(ctx, s_h_, strategy);
-    const Tensor z_h = RecoverZRow(ctx, p, h2);
-    std::copy_n(z_h.data(), z_h.numel(), z_out);
-  }
-  void Derivative(const DhsContext& ctx, Index slot, const Scalar* w_h,
-                  Scalar* ds_out) {
-    std::copy_n(w_h, w_h_.numel(), w_h_.data());
-    const Tensor ds =
-        DerivativeRow(ctx, w_h_, p_[static_cast<std::size_t>(slot)]);
-    std::copy_n(ds.data(), ds.numel(), ds_out);
-  }
-
- private:
-  std::vector<Tensor> p_;
-  Tensor s_h_, w_h_;
-};
-
-template <>
-class RowRecovery<float> {
- public:
-  // p slots are max_n apart in one flat buffer; one derivative scratch.
   RowRecovery(Index dh, Index max_n)
       : dh_(dh), max_n_(max_n),
         scratch_(static_cast<std::size_t>(3 * max_n + 2 * dh)) {}
   void Resize(Index slots) {
     p_.resize(static_cast<std::size_t>(slots * max_n_));
   }
-  void PZ(const DhsContextF32& ctx, const Tensor32& h2,
-          sparsity::PtStrategy strategy, Index slot, const float* s_h,
-          float* z_out) {
-    float* p = p_.data() + slot * max_n_;
-    RecoverPRow32(ctx, s_h, dh_, strategy, p);
-    RecoverZRow32(ctx, p, h2.data(), dh_, z_out);
+
+  // p = s_h (Zᵀ)† plus the strategy's correction, kept in `slot`; then
+  // z_h = sqrt(d_h) (c p - 1) (Zᵀ)† with c = <p,h2>/<p,p>, into z_out.
+  void PZ(const RowContext<T>& ctx, const T* h2,
+          sparsity::PtStrategy strategy, Index slot, const T* s_h,
+          T* z_out) {
+    const Index n = ctx.zt_pinv.rows();
+    T* p = p_.data() + slot * max_n_;
+    T* tmp = scratch_.data();  // 1 x n
+    kernels::GemmNT(1, dh_, n, s_h, ctx.zt_pinv.data(), p);
+    switch (strategy) {
+      case sparsity::PtStrategy::kMinNorm:
+        break;
+      case sparsity::PtStrategy::kAdaH:
+        // EncodeBatched runs the same CacheAdaHCorrection as Encode, so the
+        // correction is always present here.
+        DIFFODE_CHECK_GT(ctx.ada_corr.numel(), 0);
+        kernels::Axpy(n, T(1), ctx.ada_corr.data(), p);
+        break;
+      case sparsity::PtStrategy::kExactKkt:
+        [[fallthrough]];
+      case sparsity::PtStrategy::kMaxHoyer: {
+        if (std::fabs(ctx.ap_total) < T(1e-10)) break;
+        const T coeff = (kernels::Sum(n, p) + T(-1)) * (T(1) / ctx.ap_total);
+        std::copy_n(ctx.ap_rowsum.data(), n, tmp);
+        kernels::Scale(n, coeff, tmp);
+        kernels::Axpy(n, T(-1), tmp, p);
+        break;
+      }
+    }
+    const T c = kernels::Dot(n, p, h2) / kernels::Dot(n, p, p);
+    std::copy_n(p, n, tmp);
+    kernels::Scale(n, c, tmp);
+    for (Index j = 0; j < n; ++j) tmp[j] -= T(1);
+    kernels::Gemm(1, n, dh_, tmp, ctx.zt_pinv.data(), z_out);
+    kernels::Scale(dh_, std::sqrt(static_cast<T>(dh_)), z_out);
   }
-  void Derivative(const DhsContextF32& ctx, Index slot, const float* w_h,
-                  float* ds_out) {
-    DerivativeRow32(ctx, w_h, p_.data() + slot * max_n_, dh_,
-                    scratch_.data(), ds_out);
+
+  // ds = ((u ⊙ p) Z - <u,p> p Z) / sqrt(d_h) with u = w_h Zᵀ, into ds_out.
+  // The two (1 x n)·Z products run as one m = 2 Gemm over [u ⊙ p ; p]; a
+  // Gemm row is the m = 1 product of that row (tensor/kernels.h), so the
+  // fusion keeps the per-sequence bits.
+  void Derivative(const RowContext<T>& ctx, Index slot, const T* w_h,
+                  T* ds_out) {
+    const Index n = ctx.z.rows();
+    const T* p = p_.data() + slot * max_n_;
+    T* u = scratch_.data();
+    T* a2 = u + n;       // [u ⊙ p ; p], 2 x n
+    T* c2 = a2 + 2 * n;  // [term1 ; term2], 2 x d_h
+    kernels::GemmNT(1, dh_, n, w_h, ctx.z.data(), u);
+    kernels::Zip(n, u, p, a2, [](T x, T y) { return x * y; });
+    std::copy_n(p, n, a2 + n);
+    kernels::Gemm(2, n, dh_, a2, ctx.z.data(), c2);
+    kernels::Scale(dh_, kernels::Dot(n, u, p), c2 + dh_);
+    kernels::Axpy(dh_, T(-1), c2 + dh_, c2);
+    kernels::Scale(dh_, T(1) / std::sqrt(static_cast<T>(dh_)), c2);
+    std::copy_n(c2, dh_, ds_out);
   }
 
  private:
   Index dh_, max_n_;
-  std::vector<float> p_, scratch_;
+  std::vector<T> p_, scratch_;
 };
 
 // One row of ReadoutInput's layout ([S | r], S, or [z̄ | r]) copied straight
@@ -360,7 +225,7 @@ void ReadoutRow(const DiffOdeConfig& config, const T* z_mean, const T* state,
 // One sequence's encoding as the batched RHS and readouts read it, at T.
 template <typename T>
 struct DiffOde::BatchedEncoded {
-  std::vector<HeadContext<T>> heads;
+  std::vector<RowContext<T>> heads;
   TensorT<T> h2;      // 1 x n (attention paths)
   TensorT<T> z_mean;  // 1 x d
   TensorT<T> y0;      // 1 x StateDim(), built in f64 and rounded to T
@@ -466,12 +331,8 @@ std::vector<DiffOde::BatchedEncoded<T>> DiffOde::EncodeBatched(
     BuildContexts(&enc);
     BatchedEncoded<T>& out = encs[static_cast<std::size_t>(r)];
     out.y0 = AsDtype<T>(InitialState(enc).value());
-    if constexpr (std::is_same_v<T, float>) {
-      for (const DhsContext& ctx : enc.heads)
-        out.heads.push_back(CastContext(ctx));
-    } else {
-      out.heads = std::move(enc.heads);
-    }
+    for (const DhsContext& ctx : enc.heads)
+      out.heads.push_back(MakeRowContext<T>(ctx));
     if (enc.h2.defined()) out.h2 = AsDtype<T>(enc.h2.value());
     out.z_mean = AsDtype<T>(enc.z_mean.value());
     out.norm_times = std::move(in.norm_times);
@@ -591,7 +452,7 @@ std::vector<std::vector<TensorT<T>>> DiffOde::BatchedStatesAt(
       const BatchedEncoded<T>& enc = *row_enc[static_cast<std::size_t>(
           rows[static_cast<std::size_t>(i)])];
       for (Index hh = 0; hh < heads; ++hh)
-        recovery.PZ(enc.heads[static_cast<std::size_t>(hh)], enc.h2,
+        recovery.PZ(enc.heads[static_cast<std::size_t>(hh)], enc.h2.data(),
                     config_.pt_strategy, i * heads + hh,
                     ya.data() + i * sd + hh * dh,
                     xphi.data() + i * (d + 1) + hh * dh);

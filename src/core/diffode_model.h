@@ -46,8 +46,9 @@ class DiffOde : public SequenceModel, public BatchedSequenceModel {
   // MLPs (phi, f_r, heads) run at GEMM shape m = B while the per-sequence
   // DHS recoveries replay the exact per-sequence arithmetic. Serving/eval
   // only: runs under its own NoGradScope. After Freeze(Precision::kF32)
-  // the same engine runs at float — encoder, DHS recoveries, phi/f_r/w_r/
-  // f_out GEMMs — over the same RowPlan timelines and f64 carried state,
+  // the same engine runs its per-step work at float — DHS recoveries,
+  // phi/f_r/w_r/f_out GEMMs — over the same RowPlan timelines and f64
+  // carried state, with the encoder and the DHS factorization still in f64,
   // and casts results back to f64 at the boundary.
   Tensor ClassifyLogitsBatched(const data::SequenceBatch& batch) override;
   std::vector<std::vector<Tensor>> PredictAtBatched(

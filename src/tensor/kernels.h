@@ -54,6 +54,11 @@ inline constexpr Index kElementwiseGrain = 16384;
 // It must stay 4096 (for every dtype).
 inline constexpr Index kReductionGrain = 4096;
 
+// Row contract of the GEMM family, at every ISA and dtype: row i of C
+// depends only on row i of A, on B, on k and on n, so an m-row product is
+// bitwise m single-row products (tests/kernels_isa_test.cc). Batching rows
+// into one call never moves a bit.
+
 // C (m x n) = A (m x k) * B (k x n). All row-major, C is overwritten.
 template <typename T>
 void Gemm(Index m, Index k, Index n, const T* a, const T* b, T* c);

@@ -14,9 +14,10 @@
 // a backend provides strictly serial bodies:
 //
 //   * GEMM row-panel functions, called with fixed panel bounds [i0, i1).
-//     A backend must compute each c[i][j] by a rule that depends only on
-//     (i, j, m, k, n) — never on the panel bounds — so that any row
-//     partition of the same problem produces bitwise-identical output.
+//     Row i of C must depend only on row i of A, on B, on k and on n —
+//     never on m or the panel bounds — so that any row partition of the
+//     same problem, and the m = 1 product of any single row, produce
+//     bitwise-identical output.
 //   * Contiguous-range vector ops and elementwise maps (pure per-element
 //     functions, trivially partition-independent).
 //   * Reduction partials over one chunk of the fixed 4096-element grid

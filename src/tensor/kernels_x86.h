@@ -35,6 +35,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <type_traits>
 
@@ -383,7 +384,10 @@ T DotRange(Index n, const T* x, const T* y) {
     acc1 = W::Fma(W::Load(x + i + W::kW), W::Load(y + i + W::kW), acc1);
   }
   T s = W::HSum(W::Add(acc0, acc1));
-  for (; i < n; ++i) s += x[i] * y[i];
+  // An explicit fma per tail element: left as `s += x[i] * y[i]`, each build
+  // picks its own contraction (release GCC vectorizes part of the tail
+  // unfused, sanitizer builds fuse all of it) and the bits differ per build.
+  for (; i < n; ++i) s = std::fma(x[i], y[i], s);
   return s;
 }
 

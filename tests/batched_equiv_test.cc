@@ -229,7 +229,7 @@ TEST(BatchedEquivTest, DiffOdeMatchesPerSequence) {
 
 TEST(BatchedEquivTest, DiffOdeVariantsMatchPerSequence) {
   // Strategy / head / encoder / attention variants, one pass each at B = 3
-  // (and B = 1 for the bitwise guarantee) on the active backend.
+  // (and B = 1 for the bitwise guarantee) on every backend.
   std::vector<core::DiffOdeConfig> configs;
   {
     core::DiffOdeConfig c = SmallConfig();
@@ -239,6 +239,11 @@ TEST(BatchedEquivTest, DiffOdeVariantsMatchPerSequence) {
   {
     core::DiffOdeConfig c = SmallConfig();
     c.pt_strategy = sparsity::PtStrategy::kAdaH;
+    configs.push_back(c);
+  }
+  {
+    core::DiffOdeConfig c = SmallConfig();
+    c.pt_strategy = sparsity::PtStrategy::kExactKkt;
     configs.push_back(c);
   }
   {
@@ -261,40 +266,51 @@ TEST(BatchedEquivTest, DiffOdeVariantsMatchPerSequence) {
     c.num_heads = 2;
     configs.push_back(c);
   }
-  std::uint64_t seed = 300;
-  for (const core::DiffOdeConfig& config : configs) {
-    core::DiffOde model(config);
-    CheckModel(&model, 1, seed += 17, true);
-    CheckModel(&model, 3, seed += 17, true);
+  {
+    core::DiffOdeConfig c = SmallConfig();
+    c.num_heads = 2;
+    c.pt_strategy = sparsity::PtStrategy::kAdaH;
+    configs.push_back(c);
   }
-  // The Euler and RK4 stage structures of the lockstep integrator: f64 under
-  // the same contract as above, and the f32 serving tier (mixed-precision
-  // stage combines) finite, well-shaped and thread-count invariant.
-  for (ode::DiffMethod method :
-       {ode::DiffMethod::kEuler, ode::DiffMethod::kRk4}) {
-    SCOPED_TRACE(method == ode::DiffMethod::kEuler ? "euler" : "rk4");
-    core::DiffOde model(SmallConfig());
-    model.set_diff_method(method);
-    CheckModel(&model, 1, seed += 17, true);
-    CheckModel(&model, 3, seed += 17, true);
-
-    core::DiffOde f32_model(SmallConfig());
-    f32_model.set_diff_method(method);
-    f32_model.Freeze(Precision::kF32);
-    const std::vector<data::IrregularSeries> series =
-        MakeBatchSeries(3, seed += 17);
-    std::vector<const data::IrregularSeries*> ptrs;
-    for (const auto& s : series) ptrs.push_back(&s);
-    const data::SequenceBatch batch = data::MakeSequenceBatch(ptrs);
-    Tensor logits[2];
-    for (int i = 0; i < 2; ++i) {
-      ThreadCountGuard threads(i == 0 ? 1 : 4);
-      logits[i] = f32_model.ClassifyLogitsBatched(batch);
+  for (simd::Isa isa : SupportedIsas()) {
+    SCOPED_TRACE(simd::IsaName(isa));
+    IsaGuard ig(isa);
+    std::uint64_t seed = 300;
+    for (const core::DiffOdeConfig& config : configs) {
+      core::DiffOde model(config);
+      CheckModel(&model, 1, seed += 17, true);
+      CheckModel(&model, 3, seed += 17, true);
     }
-    ASSERT_EQ(logits[0].rows(), 3);
-    ASSERT_EQ(logits[0].cols(), SmallConfig().num_classes);
-    EXPECT_TRUE(logits[0].AllFinite());
-    ExpectBitwiseEqual(logits[0], logits[1], "f32 logits, 1 vs 4 threads");
+    // The Euler and RK4 stage structures of the lockstep integrator: f64
+    // under the same contract as above, and the f32 serving tier
+    // (mixed-precision stage combines) finite, well-shaped and thread-count
+    // invariant.
+    for (ode::DiffMethod method :
+         {ode::DiffMethod::kEuler, ode::DiffMethod::kRk4}) {
+      SCOPED_TRACE(method == ode::DiffMethod::kEuler ? "euler" : "rk4");
+      core::DiffOde model(SmallConfig());
+      model.set_diff_method(method);
+      CheckModel(&model, 1, seed += 17, true);
+      CheckModel(&model, 3, seed += 17, true);
+
+      core::DiffOde f32_model(SmallConfig());
+      f32_model.set_diff_method(method);
+      f32_model.Freeze(Precision::kF32);
+      const std::vector<data::IrregularSeries> series =
+          MakeBatchSeries(3, seed += 17);
+      std::vector<const data::IrregularSeries*> ptrs;
+      for (const auto& s : series) ptrs.push_back(&s);
+      const data::SequenceBatch batch = data::MakeSequenceBatch(ptrs);
+      Tensor logits[2];
+      for (int i = 0; i < 2; ++i) {
+        ThreadCountGuard threads(i == 0 ? 1 : 4);
+        logits[i] = f32_model.ClassifyLogitsBatched(batch);
+      }
+      ASSERT_EQ(logits[0].rows(), 3);
+      ASSERT_EQ(logits[0].cols(), SmallConfig().num_classes);
+      EXPECT_TRUE(logits[0].AllFinite());
+      ExpectBitwiseEqual(logits[0], logits[1], "f32 logits, 1 vs 4 threads");
+    }
   }
 }
 

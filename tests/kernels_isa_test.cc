@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "core/parallel.h"
@@ -182,6 +183,52 @@ TEST(KernelsIsaTest, GemmFamilyMatchesScalarBackend) {
   }
 }
 
+// The row contract of the GEMM family (tensor/kernels_isa.h): row i of an
+// m-row product is bitwise the m = 1 product of row i, at every ISA. The
+// lockstep engine relies on it to batch rows (and to fuse two 1 x n
+// products into one m = 2 Gemm) without moving any bit.
+template <typename T>
+void CheckGemmRowsMatchSingleRows(simd::Isa isa) {
+  IsaGuard guard(isa);
+  Rng rng(106);
+  for (Index m : {1, 2, 3, 5, 8, 9}) {
+    for (const auto& [k, n] : {std::pair<Index, Index>{1, 1}, {7, 5},
+                               {16, 17}, {33, 64}, {300, 3}}) {
+      SCOPED_TRACE(testing::Message() << "m=" << m << " k=" << k
+                                      << " n=" << n);
+      const TensorT<T> a = rng.NormalTensor(Shape{m, k}).template Cast<T>();
+      const TensorT<T> b = rng.NormalTensor(Shape{k, n}).template Cast<T>();
+      const TensorT<T> bt = rng.NormalTensor(Shape{n, k}).template Cast<T>();
+      // A stored (k x m) for GemmTN; its column i is the (k x 1) operand.
+      const TensorT<T> at = a.Transposed();
+      TensorT<T> c(Shape{m, n}), c_nt(Shape{m, n}), c_tn(Shape{m, n});
+      Gemm(m, k, n, a.data(), b.data(), c.data());
+      GemmNT(m, k, n, a.data(), bt.data(), c_nt.data());
+      GemmTN(m, k, n, at.data(), b.data(), c_tn.data());
+      for (Index i = 0; i < m; ++i) {
+        const TensorT<T> row = a.Row(i);
+        TensorT<T> r(Shape{1, n}), r_nt(Shape{1, n}), r_tn(Shape{1, n});
+        Gemm(Index{1}, k, n, row.data(), b.data(), r.data());
+        GemmNT(Index{1}, k, n, row.data(), bt.data(), r_nt.data());
+        GemmTN(Index{1}, k, n, row.data(), b.data(), r_tn.data());
+        ExpectBitwiseEqual<T>(c.Row(i), r, "Gemm row");
+        ExpectBitwiseEqual<T>(c_nt.Row(i), r_nt, "GemmNT row");
+        ExpectBitwiseEqual<T>(c_tn.Row(i), r_tn, "GemmTN row");
+      }
+    }
+  }
+}
+
+TEST(KernelsIsaTest, GemmRowsMatchSingleRowProductsPerIsa) {
+  std::vector<simd::Isa> isas = {simd::Isa::kScalar};
+  for (simd::Isa isa : SimdIsas()) isas.push_back(isa);
+  for (simd::Isa isa : isas) {
+    SCOPED_TRACE(simd::IsaName(isa));
+    CheckGemmRowsMatchSingleRows<double>(isa);
+    CheckGemmRowsMatchSingleRows<float>(isa);
+  }
+}
+
 template <typename T>
 void CheckVectorOps(simd::Isa simd_isa) {
   Rng rng(102);
@@ -271,6 +318,42 @@ TEST(KernelsIsaTest, ReductionsMatchScalarBackend) {
     SCOPED_TRACE(simd::IsaName(isa));
     CheckReductions<double>(isa);
     CheckReductions<float>(isa);
+  }
+}
+
+// The SIMD Dot is two vector accumulator chains over whole 2-register
+// blocks, then a scalar tail. The tail must be an explicit fma chain, so
+// every build (release or sanitizer, whatever its contraction choices)
+// computes the same bits: Dot(q·w + t) continues Dot(q·w) with one fma per
+// tail element, w = two registers of lanes.
+template <typename T>
+void CheckDotTailIsFmaChain(simd::Isa isa) {
+  IsaGuard guard(isa);
+  const Index lanes = (isa == simd::Isa::kAvx512 ? 64 : 32) /
+                      static_cast<Index>(sizeof(T));
+  const Index w = 2 * lanes;
+  Rng rng(107);
+  const TensorT<T> x = rng.NormalTensor(Shape{1, 4 * w}).template Cast<T>();
+  const TensorT<T> y = rng.NormalTensor(Shape{1, 4 * w}).template Cast<T>();
+  for (Index q : {0, 1, 3}) {
+    const T head = Dot(q * w, x.data(), y.data());
+    for (Index t = 1; t < w; ++t) {
+      T want = head;
+      for (Index i = q * w; i < q * w + t; ++i)
+        want = std::fma(x[i], y[i], want);
+      EXPECT_EQ(UlpDiff(Dot(q * w + t, x.data(), y.data()), want), 0u)
+          << "q=" << q << " t=" << t;
+    }
+  }
+}
+
+TEST(KernelsIsaTest, DotTailIsAnFmaChainPerIsa) {
+  const auto isas = SimdIsas();
+  if (isas.empty()) GTEST_SKIP() << "no SIMD backend on this host/build";
+  for (simd::Isa isa : isas) {
+    SCOPED_TRACE(simd::IsaName(isa));
+    CheckDotTailIsFmaChain<double>(isa);
+    CheckDotTailIsFmaChain<float>(isa);
   }
 }
 
