@@ -48,6 +48,20 @@ if [[ "${dtype_raw}" -gt 0 ]]; then
   exit 1
 fi
 
+echo "== lint: the lockstep serving engine stays off the tape =="
+# src/core/diffode_batched.cc applies every layer through the frozen mirrors
+# of nn/frozen.h (ServingLayers<T>) at both dtypes; an autograd module
+# forward or a module reference there would put serving back on ag::Var
+# holders and per-op tensor copies.
+engine_tape=$(grep -cE 'Forward\(ag::|const nn::(Mlp|GruCell|Linear)&' \
+  src/core/diffode_batched.cc || true)
+if [[ "${engine_tape}" -gt 0 ]]; then
+  echo "lint FAIL: autograd layer use in src/core/diffode_batched.cc:"
+  grep -nE 'Forward\(ag::|const nn::(Mlp|GruCell|Linear)&' \
+    src/core/diffode_batched.cc
+  exit 1
+fi
+
 echo "== tier-1: configure + build =="
 cmake -B build -S . > /dev/null
 cmake --build build -j > /dev/null

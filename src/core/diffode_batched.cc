@@ -22,10 +22,13 @@
 // kernel entry points (twice the lanes per vector); the zoo-level agreement
 // bound lives in tests/precision_test.cc.
 //
-// The engine is written once, and the dtypes differ at one seam: applying a
-// layer, where the f64 engine runs the nn:: modules and the f32 engine the
-// frozen ServingF32 snapshot (Layers / Apply). The per-row DHS recoveries
-// are one chain at either dtype (RowRecovery).
+// The engine is written once for both dtypes and never touches the tape:
+// every layer runs through the frozen mirrors of nn/frozen.h
+// (ServingLayers<T>, rebuilt from the current parameters on each call), and
+// the per-row DHS recoveries are one raw-buffer chain (RowRecovery). After
+// the encoder, every per-stage and readout tensor is born and freed inside
+// one tensor::BufferPool::Scope, so a warm request allocates per call, not
+// per step.
 #include <algorithm>
 #include <cmath>
 #include <type_traits>
@@ -37,63 +40,35 @@
 #include "data/encoding.h"
 #include "nn/frozen.h"
 #include "ode/lockstep.h"
+#include "tensor/buffer_pool.h"
 #include "tensor/kernels.h"
 
 namespace diffode::core {
 
-// The frozen f32 parameter snapshot. Built by DiffOde::OnFrozen AFTER
-// Module::Freeze has rounded every parameter through float, so each Cast
-// here is exact and a save → load → Freeze(kF32) round-trip rebuilds the
-// snapshot bit-identically (tests/serialize_roundtrip_test.cc). Members
-// mirror ModuleLayers below, name for name, except the encoder, which runs
-// in f64 at either dtype (EncodeBatched).
-struct ServingF32 {
-  nn::FrozenMlp<float> phi;
-  nn::FrozenMlp<float> f_r;
-  nn::FrozenLinear<float> w_r;
-  nn::FrozenMlp<float> f_out_cls;
-  nn::FrozenMlp<float> f_out_reg;
-  Tensor32 hippo_a_t;  // dc x dc (Aᵀ; constants, cast directly)
-  Tensor32 hippo_b_t;  // 1 x dc (Bᵀ)
+// The layers the engine applies, at T, built by DiffOde::Layers<T>() from
+// the current parameters once per top-level call. The encoder is f64 at
+// either T (EncodeBatched); after Freeze(kF32) the parameters are already
+// float-representable, so every Cast<float> is exact.
+template <typename T>
+struct ServingLayers {
+  nn::FrozenGru<Scalar> gru;          // empty under the MLP encoder
+  nn::FrozenMlp<Scalar> mlp_encoder;  // empty under the GRU encoder
+  nn::FrozenMlp<T> phi;
+  nn::FrozenMlp<T> f_r;
+  nn::FrozenLinear<T> w_r;
+  nn::FrozenMlp<T> f_out_cls;
+  nn::FrozenMlp<T> f_out_reg;
+  TensorT<T> hippo_a_t;  // dc x dc (Aᵀ)
+  TensorT<T> hippo_b_t;  // 1 x dc (Bᵀ)
 };
 
 namespace {
 
-// The f64 layer set: the model's own nn:: modules.
-struct ModuleLayers {
-  const nn::GruCell* gru;      // null under the MLP encoder
-  const nn::Mlp* mlp_encoder;  // null under the GRU encoder
-  const nn::Mlp& phi;
-  const nn::Mlp& f_r;
-  const nn::Linear& w_r;
-  const nn::Mlp& f_out_cls;
-  const nn::Mlp& f_out_reg;
-  const Tensor& hippo_a_t;
-  const Tensor& hippo_b_t;
-};
-
-// The layer seam: an nn:: module runs its autograd forward (tape-free under
-// the entry points' NoGradScope), a frozen snapshot layer its plain-tensor
-// forward.
-template <typename M, typename... X>
-Tensor Apply(const M& module, const Tensor& x, const X&... more) {
-  return module.Forward(ag::Constant(x), ag::Constant(more)...).value();
-}
-template <typename M>
-Tensor32 Apply(const M& layer, const Tensor32& x) {
-  return layer.Forward(x);
-}
-
-// An f64 tensor at dtype T (forwarded at f64, so an rvalue moves), and back.
+// An f64 tensor at dtype T (forwarded at f64, so an rvalue moves).
 template <typename T, typename X>
 TensorT<T> AsDtype(X&& x) {
   if constexpr (std::is_same_v<T, Scalar>) return std::forward<X>(x);
   else return x.template Cast<T>();
-}
-template <typename T>
-Tensor Widen(TensorT<T> x) {
-  if constexpr (std::is_same_v<T, Scalar>) return x;
-  else return x.template Cast<Scalar>();
 }
 
 // The operands the per-step recoveries read from one head's DhsContext, at
@@ -234,42 +209,31 @@ struct DiffOde::BatchedEncoded {
   Scalar t_offset = 0.0;
 };
 
-void DiffOde::OnFrozen(Precision precision) {
-  if (precision != Precision::kF32) {
-    serving_f32_ = nullptr;
-    return;
-  }
-  auto snap = std::make_shared<ServingF32>();
-  snap->phi = nn::FrozenMlp<float>::FromModule(*phi_);
-  snap->f_r = nn::FrozenMlp<float>::FromModule(*f_r_);
-  snap->w_r = nn::FrozenLinear<float>::FromModule(*w_r_);
-  snap->f_out_cls = nn::FrozenMlp<float>::FromModule(*f_out_cls_);
-  snap->f_out_reg = nn::FrozenMlp<float>::FromModule(*f_out_reg_);
-  snap->hippo_a_t = hippo_a_t_.Cast<float>();
-  snap->hippo_b_t = hippo_b_t_.Cast<float>();
-  serving_f32_ = std::move(snap);
-}
-
 template <typename T>
-decltype(auto) DiffOde::Layers() const {
-  if constexpr (std::is_same_v<T, float>) {
-    return static_cast<const ServingF32&>(*serving_f32_);
-  } else {
-    return ModuleLayers{gru_encoder_.get(), mlp_encoder_.get(), *phi_,
-                        *f_r_, *w_r_, *f_out_cls_, *f_out_reg_, hippo_a_t_,
-                        hippo_b_t_};
-  }
+ServingLayers<T> DiffOde::Layers() const {
+  ServingLayers<T> net;
+  if (gru_encoder_)
+    net.gru = nn::FrozenGru<Scalar>::FromModule(*gru_encoder_);
+  else
+    net.mlp_encoder = nn::FrozenMlp<Scalar>::FromModule(*mlp_encoder_);
+  net.phi = nn::FrozenMlp<T>::FromModule(*phi_);
+  net.f_r = nn::FrozenMlp<T>::FromModule(*f_r_);
+  net.w_r = nn::FrozenLinear<T>::FromModule(*w_r_);
+  net.f_out_cls = nn::FrozenMlp<T>::FromModule(*f_out_cls_);
+  net.f_out_reg = nn::FrozenMlp<T>::FromModule(*f_out_reg_);
+  net.hippo_a_t = AsDtype<T>(hippo_a_t_);
+  net.hippo_b_t = AsDtype<T>(hippo_b_t_);
+  return net;
 }
 
 template <typename T>
 std::vector<DiffOde::BatchedEncoded<T>> DiffOde::EncodeBatched(
-    const data::SequenceBatch& batch) const {
+    const ServingLayers<T>& net, const data::SequenceBatch& batch) const {
   // The encoder runs in f64 at either T: its latents Z feed the ridge Gram
   // inverse behind (Zᵀ)†, which amplifies any rounding of Z by the Gram's
   // condition number — f32 latents put trained checkpoints' worst rows
   // tens of percent off the f64 logits. One encoder pass per sequence is
   // cheap next to the per-step work that does run at T.
-  const auto& net = Layers<Scalar>();
   const Index b = batch.batch;
   const Index d = config_.latent_dim;
   DIFFODE_CHECK_EQ(batch.features, config_.input_dim);
@@ -307,7 +271,7 @@ std::vector<DiffOde::BatchedEncoded<T>> DiffOde::EncodeBatched(
       }
       Tensor h_step = Tensor::Uninit(Shape{e, d});
       kernels::SelectRows(e, d, active.data(), h_all.data(), h_step.data());
-      const Tensor h_new = Apply(*net.gru, x_step, h_step);
+      const Tensor h_new = net.gru.Forward(x_step, h_step);
       kernels::ScatterRows(e, d, active.data(), h_new.data(), h_all.data());
       for (Index j = 0; j < e; ++j) {
         const Index r = active[static_cast<std::size_t>(j)];
@@ -317,8 +281,8 @@ std::vector<DiffOde::BatchedEncoded<T>> DiffOde::EncodeBatched(
     }
   } else {
     for (Index r = 0; r < b; ++r)
-      z_rows[static_cast<std::size_t>(r)] =
-          Apply(*net.mlp_encoder, inputs[static_cast<std::size_t>(r)].inputs);
+      z_rows[static_cast<std::size_t>(r)] = net.mlp_encoder.Forward(
+          inputs[static_cast<std::size_t>(r)].inputs);
   }
   // Context factorization in f64 for both dtypes, then the per-step tensors
   // are taken at T. The inversion is the numerically delicate part of DHS;
@@ -343,10 +307,10 @@ std::vector<DiffOde::BatchedEncoded<T>> DiffOde::EncodeBatched(
 }
 
 template <typename T>
-std::vector<std::vector<TensorT<T>>> DiffOde::BatchedStatesAt(
-    const std::vector<BatchedEncoded<T>>& encs,
-    const std::vector<std::vector<Scalar>>& norm_queries) const {
-  const auto& net = Layers<T>();
+std::vector<std::vector<Index>> DiffOde::BatchedStatesAt(
+    const ServingLayers<T>& net, const std::vector<BatchedEncoded<T>>& encs,
+    const std::vector<std::vector<Scalar>>& norm_queries,
+    TensorT<T>* states) const {
   const Index b = static_cast<Index>(encs.size());
   const Index sd = StateDim();
   const Index d = config_.latent_dim;
@@ -419,7 +383,7 @@ std::vector<std::vector<TensorT<T>>> DiffOde::BatchedStatesAt(
                     r_mat.data() + i * dr);
       }
       const TensorT<T> dcm = c_mat.MatMul(net.hippo_a_t);  // a x dc
-      const TensorT<T> wr = Apply(net.w_r, r_mat);         // a x 1
+      const TensorT<T> wr = net.w_r.Forward(r_mat);        // a x 1
       const T* bt = net.hippo_b_t.data();
       for (Index i = 0; i < a; ++i) {
         T* krow = k_out.data() + i * sd + s_width;
@@ -441,7 +405,7 @@ std::vector<std::vector<TensorT<T>>> DiffOde::BatchedStatesAt(
         std::copy_n(ya.data() + i * sd, dc + dr,
                     xfr.data() + i * (d + dc + dr) + d);
       }
-      hippo_tail(0, Apply(net.f_r, xfr));
+      hippo_tail(0, net.f_r.Forward(xfr));
       return k_out;
     }
     // Invert the attention per row and head, then run phi once for the
@@ -459,7 +423,7 @@ std::vector<std::vector<TensorT<T>>> DiffOde::BatchedStatesAt(
       xphi.data()[i * (d + 1) + d] =
           static_cast<T>(tt[static_cast<std::size_t>(i)]);
     }
-    TensorT<T> w = Apply(net.phi, xphi);
+    TensorT<T> w = net.phi.Forward(xphi);
     kernels::MapTanh(w.numel(), w.data(), w.data());
     for (Index i = 0; i < a; ++i) {
       const BatchedEncoded<T>& enc = *row_enc[static_cast<std::size_t>(
@@ -470,48 +434,58 @@ std::vector<std::vector<TensorT<T>>> DiffOde::BatchedStatesAt(
                             k_out.data() + i * sd + hh * dh);
     }
     // f_r's input [s | c | r] is exactly the packed state row.
-    if (!direct) hippo_tail(d, Apply(net.f_r, ya));
+    if (!direct) hippo_tail(d, net.f_r.Forward(ya));
     return k_out;
   };
 
-  std::vector<std::vector<TensorT<T>>> slot_states;
-  slot_states.reserve(bp.slots.size());
-  for (const std::vector<Scalar>& sl : bp.slots)
-    slot_states.emplace_back(sl.size());
+  // Every checkpoint row lands in one (total slots x sd) buffer: row r's
+  // slot k is row slot_base[r] + k, rounded to T per element as Cast does.
+  std::vector<Index> slot_base(static_cast<std::size_t>(b) + 1, 0);
+  for (Index r = 0; r < b; ++r)
+    slot_base[static_cast<std::size_t>(r) + 1] =
+        slot_base[static_cast<std::size_t>(r)] +
+        static_cast<Index>(bp.slots[static_cast<std::size_t>(r)].size());
+  *states = TensorT<T>::Uninit(Shape{slot_base.back(), sd});
   const ode::LockstepEventFn on_event =
       [&](const std::vector<ode::LockstepEvent>& events, Tensor* yp) {
-        for (const ode::LockstepEvent& e : events)
-          slot_states[static_cast<std::size_t>(
-              bp.orig_of_row[static_cast<std::size_t>(e.row)])]
-                     [static_cast<std::size_t>(e.tag)] =
-                         AsDtype<T>(yp->Row(e.row));
+        for (const ode::LockstepEvent& e : events) {
+          const Index orig = bp.orig_of_row[static_cast<std::size_t>(e.row)];
+          std::copy_n(yp->data() + e.row * sd, sd,
+                      states->data() +
+                          (slot_base[static_cast<std::size_t>(orig)] + e.tag) *
+                              sd);
+        }
       };
   ode::LockstepIntegrate(bp.plans, diff_method_, rhs, on_event, &y);
 
-  std::vector<std::vector<TensorT<T>>> out(static_cast<std::size_t>(b));
+  std::vector<std::vector<Index>> at(static_cast<std::size_t>(b));
   for (Index r = 0; r < b; ++r) {
     const std::vector<Scalar>& sl = bp.slots[static_cast<std::size_t>(r)];
-    auto& dst = out[static_cast<std::size_t>(r)];
-    dst.reserve(norm_queries[static_cast<std::size_t>(r)].size());
     for (Scalar t : norm_queries[static_cast<std::size_t>(r)]) {
       const auto it = std::lower_bound(sl.begin(), sl.end(), t);
-      dst.push_back(slot_states[static_cast<std::size_t>(r)]
-                               [static_cast<std::size_t>(it - sl.begin())]);
+      at[static_cast<std::size_t>(r)].push_back(
+          slot_base[static_cast<std::size_t>(r)] + (it - sl.begin()));
     }
   }
-  return out;
+  return at;
 }
 
 template <typename T>
 Tensor DiffOde::BatchedLogits(const data::SequenceBatch& batch) const {
   ag::NoGradScope no_grad;
-  const std::vector<BatchedEncoded<T>> encs = EncodeBatched<T>(batch);
+  const ServingLayers<T> net = Layers<T>();
+  const std::vector<BatchedEncoded<T>> encs = EncodeBatched<T>(net, batch);
+  const Index b = batch.batch;
+  // The logits outlive the pool scope, so they are allocated before it.
+  Tensor logits = Tensor::Uninit(Shape{b, config_.num_classes});
+  tensor::BufferPool::Scope pool;
   std::vector<std::vector<Scalar>> queries;
   queries.reserve(encs.size());
   for (const BatchedEncoded<T>& enc : encs) queries.push_back(enc.norm_times);
-  const std::vector<std::vector<TensorT<T>>> states =
-      BatchedStatesAt<T>(encs, queries);
-  const Index b = batch.batch;
+  TensorT<T> states;
+  const std::vector<std::vector<Index>> at =
+      BatchedStatesAt<T>(net, encs, queries, &states);
+  const Index sd = StateDim();
   const Index ro = ReadoutDim();
   TensorT<T> x = TensorT<T>::Uninit(Shape{b, 2 * ro});
   // One mean-pooled readout chain per row, as raw loops: ReadoutInput is
@@ -522,20 +496,22 @@ Tensor DiffOde::BatchedLogits(const data::SequenceBatch& batch) const {
   std::vector<T> ri(static_cast<std::size_t>(ro));
   for (Index r = 0; r < b; ++r) {
     const T* zm = encs[static_cast<std::size_t>(r)].z_mean.data();
-    const std::vector<TensorT<T>>& st = states[static_cast<std::size_t>(r)];
-    ReadoutRow(config_, zm, st[0].data(), acc.data());
-    for (std::size_t i = 1; i < st.size(); ++i) {
-      ReadoutRow(config_, zm, st[i].data(), ri.data());
+    const std::vector<Index>& rows = at[static_cast<std::size_t>(r)];
+    ReadoutRow(config_, zm, states.data() + rows[0] * sd, acc.data());
+    for (std::size_t i = 1; i < rows.size(); ++i) {
+      ReadoutRow(config_, zm, states.data() + rows[i] * sd, ri.data());
       for (Index j = 0; j < ro; ++j)
         acc[static_cast<std::size_t>(j)] += ri[static_cast<std::size_t>(j)];
     }
-    const T inv = T(1) / static_cast<T>(st.size());
+    const T inv = T(1) / static_cast<T>(rows.size());
     for (Index j = 0; j < ro; ++j) acc[static_cast<std::size_t>(j)] *= inv;
     T* xr = x.data() + r * 2 * ro;
     std::copy_n(acc.data(), ro, xr);
-    ReadoutRow(config_, zm, st.back().data(), xr + ro);
+    ReadoutRow(config_, zm, states.data() + rows.back() * sd, xr + ro);
   }
-  return Widen<T>(Apply(Layers<T>().f_out_cls, x));
+  const TensorT<T> y = net.f_out_cls.Forward(x);
+  std::copy_n(y.data(), y.numel(), logits.data());
+  return logits;
 }
 
 template <typename T>
@@ -544,46 +520,57 @@ std::vector<std::vector<Tensor>> DiffOde::BatchedPredictions(
     const std::vector<std::vector<Scalar>>& times) const {
   ag::NoGradScope no_grad;
   DIFFODE_CHECK_EQ(static_cast<Index>(times.size()), batch.batch);
-  const std::vector<BatchedEncoded<T>> encs = EncodeBatched<T>(batch);
+  const ServingLayers<T> net = Layers<T>();
+  const std::vector<BatchedEncoded<T>> encs = EncodeBatched<T>(net, batch);
   const Index b = batch.batch;
   std::vector<std::vector<Scalar>> norm(times);
-  for (Index r = 0; r < b; ++r)
+  // The predictions outlive the pool scope, so they are allocated before it.
+  std::vector<std::vector<Tensor>> out(static_cast<std::size_t>(b));
+  for (Index r = 0; r < b; ++r) {
     for (Scalar& t : norm[static_cast<std::size_t>(r)])
       t = (t - encs[static_cast<std::size_t>(r)].t_offset) *
           encs[static_cast<std::size_t>(r)].t_scale;
-  const std::vector<std::vector<TensorT<T>>> states =
-      BatchedStatesAt<T>(encs, norm);
-  const auto& net = Layers<T>();
+    for (std::size_t k = 0; k < times[static_cast<std::size_t>(r)].size(); ++k)
+      out[static_cast<std::size_t>(r)].push_back(
+          Tensor::Uninit(Shape{1, config_.input_dim}));
+  }
+  tensor::BufferPool::Scope pool;
+  TensorT<T> states;
+  const std::vector<std::vector<Index>> at =
+      BatchedStatesAt<T>(net, encs, norm, &states);
+  const Index sd = StateDim();
   const Index ro = ReadoutDim();
-  std::vector<std::vector<Tensor>> out(static_cast<std::size_t>(b));
+  TensorT<T> xrow = TensorT<T>::Uninit(Shape{1, ro + 1});
   for (Index r = 0; r < b; ++r) {
     const auto& nq = norm[static_cast<std::size_t>(r)];
-    auto& dst = out[static_cast<std::size_t>(r)];
-    dst.reserve(nq.size());
     for (std::size_t k = 0; k < nq.size(); ++k) {
       // Per-pair head application on [ReadoutInput | t], 1 x (ReadoutDim()+1)
       // — exactly the per-sequence shape, so regression outputs are bitwise
       // at any B.
-      TensorT<T> xrow = TensorT<T>::Uninit(Shape{1, ro + 1});
       ReadoutRow(config_, encs[static_cast<std::size_t>(r)].z_mean.data(),
-                 states[static_cast<std::size_t>(r)][k].data(), xrow.data());
+                 states.data() + at[static_cast<std::size_t>(r)][k] * sd,
+                 xrow.data());
       xrow.data()[ro] = static_cast<T>(nq[k]);
-      dst.push_back(Widen<T>(Apply(net.f_out_reg, xrow)));
+      const TensorT<T> y = net.f_out_reg.Forward(xrow);
+      std::copy_n(y.data(), y.numel(),
+                  out[static_cast<std::size_t>(r)][k].data());
     }
   }
   return out;
 }
 
 Tensor DiffOde::ClassifyLogitsBatched(const data::SequenceBatch& batch) {
-  return serving_f32_ ? BatchedLogits<float>(batch)
-                      : BatchedLogits<Scalar>(batch);
+  return serving_precision() == Precision::kF32
+             ? BatchedLogits<float>(batch)
+             : BatchedLogits<Scalar>(batch);
 }
 
 std::vector<std::vector<Tensor>> DiffOde::PredictAtBatched(
     const data::SequenceBatch& batch,
     const std::vector<std::vector<Scalar>>& times) {
-  return serving_f32_ ? BatchedPredictions<float>(batch, times)
-                      : BatchedPredictions<Scalar>(batch, times);
+  return serving_precision() == Precision::kF32
+             ? BatchedPredictions<float>(batch, times)
+             : BatchedPredictions<Scalar>(batch, times);
 }
 
 }  // namespace diffode::core

@@ -19,9 +19,10 @@
 
 namespace diffode::core {
 
-// Frozen f32 parameter snapshot for the f32 serving tier (built by
-// Freeze(Precision::kF32), defined in diffode_batched.cc).
-struct ServingF32;
+// The frozen layers the lockstep engine applies at dtype T (nn/frozen.h),
+// defined in diffode_batched.cc.
+template <typename T>
+struct ServingLayers;
 
 // The DIFFODE model (paper Secs. III-B to III-D):
 //   encoder ψ  : observations -> latent codes Z (GRU with history, or MLP)
@@ -45,11 +46,13 @@ class DiffOde : public SequenceModel, public BatchedSequenceModel {
   // together along their own per-sequence step timelines, so the shared
   // MLPs (phi, f_r, heads) run at GEMM shape m = B while the per-sequence
   // DHS recoveries replay the exact per-sequence arithmetic. Serving/eval
-  // only: runs under its own NoGradScope. After Freeze(Precision::kF32)
-  // the same engine runs its per-step work at float — DHS recoveries,
-  // phi/f_r/w_r/f_out GEMMs — over the same RowPlan timelines and f64
-  // carried state, with the encoder and the DHS factorization still in f64,
-  // and casts results back to f64 at the boundary.
+  // only: runs under its own NoGradScope, with no tape at either dtype —
+  // every layer is a frozen mirror (nn/frozen.h) built from the current
+  // parameters per call. After Freeze(Precision::kF32) the same engine runs
+  // its per-step work at float — DHS recoveries, phi/f_r/w_r/f_out GEMMs —
+  // over the same RowPlan timelines and f64 carried state, with the encoder
+  // and the DHS factorization still in f64, and casts results back to f64
+  // at the boundary.
   Tensor ClassifyLogitsBatched(const data::SequenceBatch& batch) override;
   std::vector<std::vector<Tensor>> PredictAtBatched(
       const data::SequenceBatch& batch,
@@ -82,6 +85,11 @@ class DiffOde : public SequenceModel, public BatchedSequenceModel {
   // weights — used by the Fig. 3 sparsity analysis.
   Tensor LatentZ(const data::IrregularSeries& context);
 
+  // Normalized integration span: the context's observation window maps to
+  // [0, kSpan], matching the paper's synthetic-time scale so one integration
+  // step size works across datasets. Shared by Encode and EncodeBatched.
+  static constexpr Scalar kSpan = 10.0;
+
  private:
   struct Encoded {
     ag::Var z;                         // n x d
@@ -94,37 +102,33 @@ class DiffOde : public SequenceModel, public BatchedSequenceModel {
     Scalar t_offset = 0.0;
   };
 
-  // Normalized integration span: the context's observation window maps to
-  // [0, kSpan], matching the paper's synthetic-time scale so one integration
-  // step size works across datasets. Shared by Encode and EncodeBatched.
-  static constexpr Scalar kSpan = 10.0;
-
   Encoded Encode(const data::IrregularSeries& context) const;
   // Everything Encode builds after the latent matrix Z: the per-head DHS
   // contexts, free vectors, z_mean, and (grad mode only) the Hoyer term.
   // Shared by the per-sequence and batched encoders.
   void BuildContexts(Encoded* enc) const;
   // The lockstep batched engine (diffode_batched.cc), written once and
-  // instantiated for T = double (the nn:: modules) and T = float (the
-  // frozen ServingF32 snapshot).
+  // instantiated for T = double and T = float.
   // One sequence's encoding as the engine reads it, at T.
   template <typename T>
   struct BatchedEncoded;
-  // The shared layers at T: the nn:: modules or the f32 snapshot.
+  // The shared layers at T, built from the current parameters.
   template <typename T>
-  decltype(auto) Layers() const;
+  ServingLayers<T> Layers() const;
   // Per-row encodings with the GRU recurrence advanced in lockstep across
   // the batch; the encoder runs and the DHS contexts are factorized in f64
   // at either T.
   template <typename T>
   std::vector<BatchedEncoded<T>> EncodeBatched(
-      const data::SequenceBatch& batch) const;
-  // States for every (row, query-time) pair via one lockstep integration;
-  // out[r][k] is the 1 x StateDim() state of row r at norm_queries[r][k].
+      const ServingLayers<T>& net, const data::SequenceBatch& batch) const;
+  // States for every (row, query-time) pair via one lockstep integration:
+  // fills *states with one StateDim() row per checkpoint and returns
+  // at[r][k], the row of *states holding row r's state at norm_queries[r][k].
   template <typename T>
-  std::vector<std::vector<TensorT<T>>> BatchedStatesAt(
-      const std::vector<BatchedEncoded<T>>& encs,
-      const std::vector<std::vector<Scalar>>& norm_queries) const;
+  std::vector<std::vector<Index>> BatchedStatesAt(
+      const ServingLayers<T>& net, const std::vector<BatchedEncoded<T>>& encs,
+      const std::vector<std::vector<Scalar>>& norm_queries,
+      TensorT<T>* states) const;
   // The readouts behind ClassifyLogitsBatched / PredictAtBatched.
   template <typename T>
   Tensor BatchedLogits(const data::SequenceBatch& batch) const;
@@ -145,11 +149,6 @@ class DiffOde : public SequenceModel, public BatchedSequenceModel {
 
   Index StateDim() const;
   Index ReadoutDim() const;
-
-  // Builds (kF32) or drops (kF64) the frozen f32 serving snapshot; runs
-  // after Module::Freeze has rounded the parameters through float, so the
-  // snapshot casts are exact (diffode_batched.cc).
-  void OnFrozen(Precision precision) override;
 
   // Adds a DHS consistency / sparsity term to this thread's aux loss.
   void AddAuxiliaryLoss(const ag::Var& term) const;
@@ -175,10 +174,6 @@ class DiffOde : public SequenceModel, public BatchedSequenceModel {
   Tensor hippo_a_;    // d_c x d_c (LegS, stable)
   Tensor hippo_a_t_;  // Aᵀ, cached so Dynamics never re-transposes
   Tensor hippo_b_t_;  // 1 x d_c (Bᵀ)
-
-  // Set by Freeze(Precision::kF32); presence runs the batched forwards at
-  // float.
-  std::shared_ptr<ServingF32> serving_f32_;
 };
 
 }  // namespace diffode::core

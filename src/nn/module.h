@@ -42,11 +42,10 @@ class Module {
   //
   // `precision` selects the serving compute precision. Freeze(kF32) rounds
   // every parameter through float IN PLACE: the f64 master copies become
-  // exactly f32-representable, so (a) any f32 snapshot a model derives in
-  // OnFrozen casts without further rounding, and (b) serialization keeps
+  // exactly f32-representable, so (a) any f32 layer a model builds from
+  // them casts without further rounding, and (b) serialization keeps
   // storing plain f64 on disk while a save → load → Freeze(kF32) round-trip
-  // reproduces the frozen snapshot bit for bit
-  // (tests/serialize_roundtrip_test.cc).
+  // serves bit-identical outputs (tests/serialize_roundtrip_test.cc).
   void Freeze(Precision precision = Precision::kF64) {
     for (auto& p : Params()) {
       const auto& node = p.node();
@@ -60,17 +59,10 @@ class Module {
       }
     }
     serving_precision_ = precision;
-    OnFrozen(precision);
   }
 
   // The precision the last Freeze() selected; kF64 for unfrozen modules.
   Precision serving_precision() const { return serving_precision_; }
-
- protected:
-  // Hook for derived models to build precision-specific serving state (e.g.
-  // DiffOde's frozen f32 parameter snapshot). Runs after the parameters have
-  // been rounded, so a kF32 snapshot cast is exact.
-  virtual void OnFrozen(Precision /*precision*/) {}
 
  private:
   Precision serving_precision_ = Precision::kF64;

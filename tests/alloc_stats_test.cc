@@ -10,6 +10,7 @@
 #include "core/diffode_model.h"
 #include "core/parallel.h"
 #include "data/generators.h"
+#include "data/sequence_batch.h"
 #include "tensor/buffer_pool.h"
 #include "train/trainer.h"
 
@@ -198,6 +199,45 @@ TEST(AllocStatsTest, SteadyStateTrainingHasZeroPoolMisses) {
   EXPECT_EQ(d.pool_misses, 0u);
   EXPECT_GT(d.pool_hits + d.depot_hits, 0u);  // the pool actually served
   EXPECT_GT(d.arena_nodes, 0u);               // tapes came from the arena
+  parallel::ThreadPool::SetNumThreads(prev_threads);
+}
+
+// Serving allocates per call, not per RK stage: the lockstep engine runs
+// every per-stage and readout tensor inside one buffer-pool scope, so once
+// the thread's pool is warm, a frozen model's batched forward takes the
+// heap as often at step 0.5 as at step 0.125 (four times the waves). A
+// tensor that escapes the scope, or a per-stage allocation outside it, makes
+// the count grow with the step count.
+TEST(AllocStatsTest, ServingHeapAllocationsDoNotScaleWithSteps) {
+  const int prev_threads = parallel::ThreadPool::Get().num_threads();
+  parallel::ThreadPool::SetNumThreads(1);
+  const data::Dataset ds = TinyDataset();
+  std::vector<const data::IrregularSeries*> ptrs;
+  for (const auto* split : {&ds.train, &ds.val, &ds.test})
+    for (const auto& s : *split)
+      if (ptrs.size() < 8) ptrs.push_back(&s);
+  ASSERT_EQ(ptrs.size(), 8u);
+  const data::SequenceBatch batch = data::MakeSequenceBatch(ptrs);
+  for (Precision precision : {Precision::kF64, Precision::kF32}) {
+    std::uint64_t heap[2];
+    std::uint64_t pooled[2];
+    for (int i = 0; i < 2; ++i) {
+      core::DiffOdeConfig config = TinyConfig();
+      config.step = i == 0 ? 0.5 : 0.125;
+      core::DiffOde model(config);
+      model.Freeze(precision);
+      for (int warm = 0; warm < 2; ++warm)
+        (void)model.ClassifyLogitsBatched(batch);
+      const AllocStats::Snapshot before = AllocStats::Read();
+      (void)model.ClassifyLogitsBatched(batch);
+      const AllocStats::Snapshot d =
+          AllocStats::Delta(before, AllocStats::Read());
+      heap[i] = d.pool_bypass + d.pool_misses;
+      pooled[i] = d.pool_hits + d.depot_hits;
+    }
+    EXPECT_EQ(heap[0], heap[1]) << PrecisionName(precision);
+    EXPECT_GT(pooled[1], pooled[0]) << PrecisionName(precision);
+  }
   parallel::ThreadPool::SetNumThreads(prev_threads);
 }
 

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "autograd/ops.h"
@@ -16,6 +17,7 @@
 #include "core/diffode_model.h"
 #include "core/parallel.h"
 #include "data/generators.h"
+#include "nn/frozen.h"
 #include "tensor/buffer_pool.h"
 #include "tensor/random.h"
 #include "tensor/simd.h"
@@ -244,6 +246,51 @@ TEST(NoGradTest, DiffOdeForwardBitwiseMatchesGradOn) {
       for (std::size_t k = 0; k < preds_ng.size(); ++k)
         ExpectBitwiseEqual(preds_ng[k].value(), preds_grad[k],
                            simd::IsaName(isa));
+    }
+  }
+}
+
+// The frozen serving layers (nn/frozen.h) replay the module forwards op for
+// op, so at f64 each is bitwise its module's no-grad forward, at every
+// kernel ISA and at the GEMM row counts the lockstep engine uses.
+TEST(NoGradTest, FrozenLayersBitwiseMatchModules) {
+  Rng rng(17);
+  const Index in = 7;
+  const Index hidden = 6;
+  nn::Linear linear(in, 5, rng);
+  nn::GruCell gru(in, hidden, rng);
+  std::vector<std::unique_ptr<nn::Mlp>> mlps;
+  for (nn::Activation act : {nn::Activation::kTanh, nn::Activation::kSigmoid,
+                             nn::Activation::kRelu})
+    mlps.push_back(
+        std::make_unique<nn::Mlp>(std::vector<Index>{in, 9, 4}, rng, act));
+  // Biases start at zero; give every parameter a random value so the bias
+  // adds are exercised.
+  std::vector<ag::Var> params = linear.Params();
+  gru.CollectParams(&params);
+  for (const auto& m : mlps) m->CollectParams(&params);
+  for (ag::Var& p : params)
+    p.node()->value = rng.NormalTensor(p.value().shape(), 0.0, 0.7);
+  const auto frozen_linear = nn::FrozenLinear<Scalar>::FromModule(linear);
+  const auto frozen_gru = nn::FrozenGru<Scalar>::FromModule(gru);
+  std::vector<nn::FrozenMlp<Scalar>> frozen_mlps;
+  for (const auto& m : mlps)
+    frozen_mlps.push_back(nn::FrozenMlp<Scalar>::FromModule(*m));
+
+  ag::NoGradScope no_grad;
+  for (simd::Isa isa : SupportedIsas()) {
+    IsaGuard ig(isa);
+    for (Index m : {1, 3, 8}) {
+      const Tensor x = rng.NormalTensor(Shape{m, in});
+      const Tensor h = rng.UniformTensor(Shape{m, hidden}, -1.0, 1.0);
+      ExpectBitwiseEqual(frozen_linear.Forward(x),
+                         linear.Forward(ag::Constant(x)).value(), "Linear");
+      ExpectBitwiseEqual(
+          frozen_gru.Forward(x, h),
+          gru.Forward(ag::Constant(x), ag::Constant(h)).value(), "GruCell");
+      for (std::size_t k = 0; k < mlps.size(); ++k)
+        ExpectBitwiseEqual(frozen_mlps[k].Forward(x),
+                           mlps[k]->Forward(ag::Constant(x)).value(), "Mlp");
     }
   }
 }
